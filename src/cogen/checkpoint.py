@@ -4,15 +4,15 @@ little-endian values, and optional Adam state. Round-trips byte-exactly.
 """
 
 import hashlib
+import io
 import json
-import os
 import struct
-import tempfile
 
 import numpy as np
 
 from .acts import Ontology
 from .corpus import Vocab
+from .files import atomic_write
 from .transformer import TransformerConfig
 from .model import CogenModel
 from .tensor import Adam
@@ -40,9 +40,25 @@ def _write_bytes(f, b: bytes):
     f.write(b)
 
 
+def _read(f, n: int) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"file ends inside a record ({len(data)} of {n} bytes)")
+    return data
+
+
+def _unpack(f, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(f, struct.calcsize(fmt)))
+
+
 def _read_bytes(f) -> bytes:
-    (n,) = struct.unpack("<I", f.read(4))
-    return f.read(n)
+    (n,) = _unpack(f, "<I")
+    return _read(f, n)
+
+
+def _read_floats(f, shape: tuple) -> np.ndarray:
+    count = int(np.prod(shape, dtype=np.int64))
+    return np.frombuffer(_read(f, 4 * count), dtype="<f4").reshape(shape).astype(np.float32)
 
 
 def save(path, model: CogenModel, opt: Adam | None = None, extra: dict | None = None):
@@ -61,87 +77,90 @@ def save(path, model: CogenModel, opt: Adam | None = None, extra: dict | None = 
         "extra": extra or {},
     }
     names = list(model.params)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".ckpt.tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            _write_bytes(f, json.dumps(header, sort_keys=True).encode())
-            f.write(struct.pack("<I", len(names)))
-            for name in names:
-                data = model.params[name].data.astype("<f4")
-                _write_bytes(f, name.encode())
-                f.write(struct.pack("<B", data.ndim))
-                for dim in data.shape:
-                    f.write(struct.pack("<I", dim))
-                f.write(data.tobytes())
-            if opt is None:
-                f.write(struct.pack("<B", 0))
-            else:
-                f.write(struct.pack("<B", 1))
-                f.write(struct.pack("<Q", opt.t))
-                f.write(struct.pack("<dddd", opt.lr, opt.beta1, opt.beta2, opt.eps))
-                opt_names = list(opt.params)
-                f.write(struct.pack("<I", len(opt_names)))
-                for name in opt_names:
-                    _write_bytes(f, name.encode())
-                    f.write(opt.m[name].astype("<f4").tobytes())
-                    f.write(opt.v[name].astype("<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    f = io.BytesIO()
+    f.write(MAGIC)
+    f.write(struct.pack("<I", VERSION))
+    _write_bytes(f, json.dumps(header, sort_keys=True).encode())
+    f.write(struct.pack("<I", len(names)))
+    for name in names:
+        data = model.params[name].data.astype("<f4")
+        _write_bytes(f, name.encode())
+        f.write(struct.pack("<B", data.ndim))
+        for dim in data.shape:
+            f.write(struct.pack("<I", dim))
+        f.write(data.tobytes())
+    if opt is None:
+        f.write(struct.pack("<B", 0))
+    else:
+        f.write(struct.pack("<B", 1))
+        f.write(struct.pack("<Q", opt.t))
+        f.write(struct.pack("<dddd", opt.lr, opt.beta1, opt.beta2, opt.eps))
+        opt_names = list(opt.params)
+        f.write(struct.pack("<I", len(opt_names)))
+        for name in opt_names:
+            _write_bytes(f, name.encode())
+            f.write(opt.m[name].astype("<f4").tobytes())
+            f.write(opt.v[name].astype("<f4").tobytes())
+    atomic_write(path, f.getvalue())
 
 
 def load(path):
-    """Returns (model, optimizer-or-None, header)."""
+    """Returns (model, optimizer-or-None, header). A file that is not a
+    whole, well-formed checkpoint raises CheckpointError."""
     with open(path, "rb") as f:
-        if f.read(len(MAGIC)) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(_read_bytes(f).decode())
-        cfg = TransformerConfig(**header["config"])
-        onto = header["ontology"]
-        ontology = Ontology(onto["domains"], onto["actions"], onto["slots"])
-        model = CogenModel(cfg, Vocab(header["text_vocab"]),
-                           Vocab(header["act_vocab"]), ontology,
-                           act_attention=header["act_attention"])
-        (n_params,) = struct.unpack("<I", f.read(4))
-        for _ in range(n_params):
+        raw = f.read()
+    try:
+        # parsed from memory, so a garbled length never sizes a file read
+        return _load(io.BytesIO(raw))
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+    # ValueError covers bad JSON, bad UTF-8 and bad header values
+    except (struct.error, ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(
+            f"{path}: corrupt checkpoint ({type(e).__name__}: {e})") from e
+
+
+def _load(f):
+    if f.read(len(MAGIC)) != MAGIC:
+        raise CheckpointError("not a checkpoint file")
+    (version,) = _unpack(f, "<I")
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    header = json.loads(_read_bytes(f).decode())
+    cfg = TransformerConfig(**header["config"])
+    onto = header["ontology"]
+    ontology = Ontology(onto["domains"], onto["actions"], onto["slots"])
+    model = CogenModel(cfg, Vocab(header["text_vocab"]),
+                       Vocab(header["act_vocab"]), ontology,
+                       act_attention=header["act_attention"])
+    (n_params,) = _unpack(f, "<I")
+    for _ in range(n_params):
+        name = _read_bytes(f).decode()
+        (ndim,) = _unpack(f, "<B")
+        shape = _unpack(f, f"<{ndim}I")
+        arr = _read_floats(f, shape)
+        if name not in model.params:
+            raise CheckpointError(f"unknown parameter {name!r}")
+        if model.params[name].shape != shape:
+            raise CheckpointError(
+                f"parameter {name!r} shape {shape} vs model "
+                f"{model.params[name].shape}")
+        model.params[name].data = arr.copy()
+    (has_opt,) = _unpack(f, "<B")
+    opt = None
+    if has_opt:
+        (t,) = _unpack(f, "<Q")
+        lr, b1, b2, eps = _unpack(f, "<dddd")
+        (n_opt,) = _unpack(f, "<I")
+        opt_params = {}
+        m, v = {}, {}
+        for _ in range(n_opt):
             name = _read_bytes(f).decode()
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            raw = f.read(int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4)
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-            if name not in model.params:
-                raise CheckpointError(f"{path}: unknown parameter {name!r}")
-            if model.params[name].shape != shape:
-                raise CheckpointError(
-                    f"{path}: parameter {name!r} shape {shape} vs model "
-                    f"{model.params[name].shape}")
-            model.params[name].data = arr.copy()
-        (has_opt,) = struct.unpack("<B", f.read(1))
-        opt = None
-        if has_opt:
-            (t,) = struct.unpack("<Q", f.read(8))
-            lr, b1, b2, eps = struct.unpack("<dddd", f.read(32))
-            (n_opt,) = struct.unpack("<I", f.read(4))
-            opt_params = {}
-            m, v = {}, {}
-            for _ in range(n_opt):
-                name = _read_bytes(f).decode()
-                p = model.params[name]
-                count = p.data.size * 4
-                m[name] = np.frombuffer(f.read(count), dtype="<f4").reshape(
-                    p.data.shape).astype(np.float32)
-                v[name] = np.frombuffer(f.read(count), dtype="<f4").reshape(
-                    p.data.shape).astype(np.float32)
-                opt_params[name] = p
-            opt = Adam(opt_params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-            opt.t = t
-            opt.m, opt.v = m, v
+            p = model.params[name]
+            m[name] = _read_floats(f, p.data.shape)
+            v[name] = _read_floats(f, p.data.shape)
+            opt_params[name] = p
+        opt = Adam(opt_params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt.t = t
+        opt.m, opt.v = m, v
     return model, opt, header

@@ -120,16 +120,35 @@ def _flatten(turn: DialogueTurn):
     turn.db_span = (db_start, len(source))
 
 
+def _db_buckets(db, did, path) -> dict:
+    _require(isinstance(db, dict), did, path)
+    buckets = {}
+    for domain, count in sorted(db.items()):
+        try:
+            buckets[domain] = db_bucket(int(count))
+        except (TypeError, ValueError):
+            raise CorpusError(f"corpus schema violation in {did!r} at {path}.{domain}: "
+                              f"match count {count!r} is not an integer") from None
+    return buckets
+
+
 def expand_dialogue(dlg: dict) -> list:
     """One DialogueTurn per system turn, with the full prior history."""
+    _require(isinstance(dlg, dict), "?", "dialogue")
     did = dlg.get("dialogue_id", "?")
     _require("turns" in dlg and isinstance(dlg["turns"], list), did, "turns")
     goal = dlg.get("goal", {})
     turns = []
     history = []
     for i, t in enumerate(dlg["turns"]):
-        for key in ("user", "response", "acts"):
+        _require(isinstance(t, dict), did, f"turns[{i}]")
+        for key, kind in (("user", str), ("response", str), ("acts", list)):
             _require(key in t, did, f"turns[{i}].{key}")
+            _require(isinstance(t[key], kind), did, f"turns[{i}].{key}")
+        belief = t.get("belief", {})
+        _require(isinstance(belief, dict)
+                 and all(isinstance(sv, dict) for sv in belief.values()),
+                 did, f"turns[{i}].belief")
         history.append(("user", tokenize(t["user"])))
         gold_acts = set()
         for trip in t["acts"]:
@@ -140,8 +159,8 @@ def expand_dialogue(dlg: dict) -> list:
             turn_index=i,
             history=list(history),
             current_utterance_span=(0, 0),
-            db_buckets={d: db_bucket(int(c)) for d, c in sorted(t.get("db", {}).items())},
-            belief={d: dict(sv) for d, sv in t.get("belief", {}).items()},
+            db_buckets=_db_buckets(t.get("db", {}), did, f"turns[{i}].db"),
+            belief={d: dict(sv) for d, sv in belief.items()},
             gold_acts=gold_acts,
             gold_response=tokenize(t["response"]),
             goal=goal,

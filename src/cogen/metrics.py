@@ -9,10 +9,10 @@ in a database.
 """
 
 import math
-import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
+
+from .files import atomic_write
 
 BLEU_SMOOTHING = "epsilon-floor(1e-9)"
 _EPS = 1e-9
@@ -176,17 +176,4 @@ def write_report(path, reports: list, extra_lines=()):
     text = "\n".join(table) + "\n\n" + "\n\n".join(blocks) + "\n"
     if extra_lines:
         text += "\n" + "\n".join(extra_lines) + "\n"
-    _atomic_write(path, text)
-
-
-def _atomic_write(path, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, text)

@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, ContractError, concat, cross_entropy, matmul
 from .transformer import (TransformerConfig, EncoderOutput, AttentionTrace,
-                          encode, decoder_step, output_projection,
+                          cache_length, encode, decoder_step, output_projection,
                           transformer_block, init_encoder_params,
                           init_decoder_params, init_block_params,
                           sinusoidal_positions)
@@ -94,11 +94,13 @@ class CogenModel:
             self._pos_cache[key] = sinusoidal_positions(n, self.cfg.d_model)
         return self._pos_cache[key]
 
-    def _embed(self, table: Tensor, ids: np.ndarray) -> Tensor:
+    def _embed(self, table: Tensor, ids: np.ndarray, offset: int = 0) -> Tensor:
+        """Scaled token embeddings plus the encodings of positions
+        offset, offset + 1, ..."""
         from .tensor import embedding
         d = self.cfg.d_model
         e = embedding(table, ids) * float(np.sqrt(d))
-        return e + Tensor.const(self._positions(ids.shape[-1]))
+        return e + Tensor.const(self._positions(offset + ids.shape[-1])[offset:])
 
     # -- forward passes -------------------------------------------------------
 
@@ -113,40 +115,45 @@ class CogenModel:
         return DualEncoding(enc_act=enc_act, enc_resp=enc_resp)
 
     def act_forward(self, dual: DualEncoding, belief: np.ndarray,
-                    act_in: np.ndarray, trace: AttentionTrace | None = None):
-        """Teacher-forced act decoder pass.
+                    act_in: np.ndarray, trace: AttentionTrace | None = None,
+                    cache: dict | None = None):
+        """Act decoder pass: teacher-forced over a full prefix, or, with a
+        cache (see decoder_step), over the tokens that follow the cached ones.
 
         Returns (logits [B, Ta, Va], act hidden states [B, Ta, 2d]). The
         belief projection is added to every act token embedding.
         """
         if np.any(act_in >= len(self.act_vocab)):
             raise IndexError("act_forward: token id outside act vocabulary")
-        u = self._embed(self.params["emb.act"], act_in)
+        u = self._embed(self.params["emb.act"], act_in, cache_length(cache, "actdec"))
         proj = matmul(Tensor.const(belief.astype(T.default_dtype())),
                       self.params["w_belief"])
         u = u + proj.reshape(proj.shape[0], 1, proj.shape[1])
         h, c = decoder_step(self.params, "actdec", u, dual.enc_act, self.cfg,
-                            trace=trace)
+                            trace=trace, cache=cache)
         hidden = concat([h, c], axis=-1)
         logits = output_projection(hidden, self.params["w_act_out"])
         return logits, hidden
 
     def response_forward(self, dual: DualEncoding, act_hidden: Tensor,
                          act_mask: np.ndarray, resp_in: np.ndarray,
-                         trace: AttentionTrace | None = None) -> Tensor:
-        """Teacher-forced response decoder pass -> logits [B, Tr, Vt]."""
+                         trace: AttentionTrace | None = None,
+                         cache: dict | None = None) -> Tensor:
+        """Response decoder pass -> logits [B, Tr, Vt]; teacher-forced, or
+        incremental with a cache as in act_forward. The cache also keeps the
+        keys and values of the act hidden states."""
         if act_hidden.shape[1] == 0:
             raise ContractError("response_forward: empty act hidden states")
-        e = self._embed(self.params["emb.src"], resp_in)
+        e = self._embed(self.params["emb.src"], resp_in, cache_length(cache, "respdec"))
         h, c = decoder_step(self.params, "respdec", e, dual.enc_resp, self.cfg,
-                            trace=trace)
+                            trace=trace, cache=cache)
         b, tr, d = h.shape
         ta = act_hidden.shape[1]
         if self.act_attention == "dynamic":
             allow = np.broadcast_to(act_mask[:, None, :], (b, tr, ta))
             o = transformer_block(self.params, "respdec.dyn", h, act_hidden,
                                   allow, self.cfg.n_heads, trace=trace,
-                                  trace_label="respdec.dyn")
+                                  trace_label="respdec.dyn", cache=cache)
         else:
             w = act_mask.astype(T.default_dtype())
             w = w / w.sum(axis=-1, keepdims=True)

@@ -85,10 +85,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(shape, requires_grad=False):
-        return Tensor(np.zeros(shape, dtype=_default_dtype), requires_grad)
-
-    @staticmethod
     def randn(rng: np.random.Generator, shape, scale=1.0, requires_grad=False):
         return Tensor((rng.standard_normal(shape) * scale).astype(_default_dtype),
                       requires_grad)
@@ -234,10 +230,9 @@ class Tensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inv = np.argsort(axes)
         out = Tensor(self.data.transpose(axes))
         a = self
-        return self._record(out, (a,), lambda g: a._accum(g.transpose(inv)))
+        return self._record(out, (a,), lambda g: a._accum(g.transpose(np.argsort(axes))))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -257,10 +252,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             t._accum(piece)
 
@@ -269,9 +263,10 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis`."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    # ufunc reductions: the arithmetic of ndarray.max/.sum without their call overhead
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / np.add.reduce(e, axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bw(g):
@@ -289,12 +284,15 @@ def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    # the values of x.mean() and x.var() without their call overhead, and
+    # with one mean instead of two
     d = x.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    centred = x.data - mu
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
+    out = Tensor(xhat * gain.data + bias.data)
 
     def bw(g):
         gg = g * gain.data

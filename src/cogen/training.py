@@ -2,14 +2,12 @@
 and the teacher-forced exact-match probe used for early stopping.
 """
 
-import os
-import tempfile
-
 import numpy as np
 
 from .acts import Ontology
 from .corpus import load_corpus, build_vocab, batchify, PAD_ID
 from .config import RunConfig
+from .files import atomic_write
 from .model import (CogenModel, LossMode, act_only_step, train_step)
 from .tensor import Adam, no_grad
 from .transformer import TransformerConfig
@@ -127,13 +125,4 @@ def train(run: RunConfig, model: CogenModel, turns, opt=None,
 
 
 def write_loss_log(path, lines):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".log.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -4,6 +4,9 @@ stack, causal decoder, and output projection.
 Layout conventions: activations are [batch, seq, d_model]; attention masks are
 boolean allow-matrices [batch, q_len, k_len] (True = may attend). Blocks are
 pre-norm: x + Attn(LN(x)), then s + FFN(LN(s)).
+
+Incremental decoding passes a cache (a dict from block prefix to KVCache)
+through the same functions that teacher forcing calls without one.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, ContractError, matmul, softmax, layer_norm
+from .tensor import Tensor, ContractError, concat, matmul, softmax, layer_norm
 
 
 @dataclass
@@ -21,7 +24,6 @@ class TransformerConfig:
     d_model: int = 128
     d_ff: int = 0          # 0 -> 4 * d_model
     max_seq_len: int = 256
-    dropout: float = 0.0   # reserved; desk-scale runs are deterministic
 
     def __post_init__(self):
         if self.d_ff == 0:
@@ -35,7 +37,30 @@ class TransformerConfig:
 class EncoderOutput:
     hidden: Tensor                 # [batch, seq, d_model]
     source_mask: np.ndarray        # [batch, seq] bool, True = real token
-    truncated: bool = False
+
+
+@dataclass
+class KVCache:
+    """Attention keys and values [B, heads, T, d_head] of one block, kept
+    between incremental decoder calls. Self-attention appends each call's new
+    positions (`grows`); attention over a fixed stream (encoder or act states)
+    computes them on the first call and reuses them, with the stream's batch."""
+    k: Tensor | None = None
+    v: Tensor | None = None
+    grows: bool = False
+
+
+def gather_cache(cache: dict, rows) -> dict:
+    """A cache whose growing entries hold the given rows, in that order;
+    fixed-stream entries are shared, since they do not depend on the row."""
+    return {name: KVCache(Tensor(e.k.data[rows]), Tensor(e.v.data[rows]), True)
+            if e.grows else e for name, e in cache.items()}
+
+
+def cache_length(cache: dict | None, prefix: str) -> int:
+    """Positions decoder `prefix` has already consumed into `cache`."""
+    entry = (cache or {}).get(f"{prefix}.self0")
+    return 0 if entry is None else entry.k.shape[2]
 
 
 @dataclass
@@ -89,24 +114,38 @@ def init_block_params(rng, params: dict, prefix: str, d_model: int, d_ff: int,
 def transformer_block(params: dict, prefix: str, q: Tensor, kv: Tensor,
                       allow: np.ndarray, n_heads: int,
                       trace: AttentionTrace | None = None,
-                      trace_label: str = "") -> Tensor:
+                      trace_label: str = "", cache: dict | None = None) -> Tensor:
     """Pre-norm multi-head attention + FFN with residuals on the query stream.
 
     q: [B, Sq, d], kv: [B, Sk, dk], allow: [B, Sq, Sk] bool. Disallowed keys
     get -1e9 before softmax; a query row with no allowed key is a contract
     violation.
+
+    With a cache, self-attention (kv is q) attends over the cached keys and
+    values followed by this call's positions, and allow spans all of them;
+    attention over another stream reuses the keys and values of its first
+    call, whose batch may be 1 and broadcast against q.
     """
     if allow is not None and not allow.any(axis=-1).all():
         raise ContractError("attention: query position with every key masked")
     b, sq, d = q.shape
-    sk = kv.shape[1]
     dh = d // n_heads
 
     qn = layer_norm(q, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
-    kvn = kv if kv is not q else qn
     qh = matmul(qn, params[f"{prefix}.wq"]).reshape(b, sq, n_heads, dh).transpose(0, 2, 1, 3)
-    kh = matmul(kvn, params[f"{prefix}.wk"]).reshape(b, sk, n_heads, dh).transpose(0, 2, 1, 3)
-    vh = matmul(kvn, params[f"{prefix}.wv"]).reshape(b, sk, n_heads, dh).transpose(0, 2, 1, 3)
+    entry = None if cache is None else cache.setdefault(prefix, KVCache())
+    if entry is not None and entry.k is not None and kv is not q:
+        kh, vh = entry.k, entry.v
+    else:
+        kvn = kv if kv is not q else qn
+        bk, sk = kvn.shape[:2]
+        kh = matmul(kvn, params[f"{prefix}.wk"]).reshape(bk, sk, n_heads, dh).transpose(0, 2, 1, 3)
+        vh = matmul(kvn, params[f"{prefix}.wv"]).reshape(bk, sk, n_heads, dh).transpose(0, 2, 1, 3)
+        if entry is not None:
+            if entry.k is not None:
+                kh = concat([entry.k, kh], axis=2)
+                vh = concat([entry.v, vh], axis=2)
+            entry.k, entry.v, entry.grows = kh, vh, kv is q
 
     scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
     if allow is not None:
@@ -131,7 +170,7 @@ def init_encoder_params(rng, params: dict, prefix: str, cfg: TransformerConfig):
 
 
 def encode(params: dict, prefix: str, emb: Tensor, key_mask: np.ndarray,
-           cfg: TransformerConfig, truncated: bool = False) -> EncoderOutput:
+           cfg: TransformerConfig) -> EncoderOutput:
     """Self-attention stack over already-embedded input.
 
     emb: [B, S, d] embeddings (position encodings included by the caller).
@@ -146,7 +185,7 @@ def encode(params: dict, prefix: str, emb: Tensor, key_mask: np.ndarray,
     for i in range(cfg.n_layers):
         h = transformer_block(params, f"{prefix}.l{i}", h, h, allow, cfg.n_heads)
     h = layer_norm(h, params[f"{prefix}.lnf_g"], params[f"{prefix}.lnf_b"])
-    return EncoderOutput(hidden=h, source_mask=key_mask, truncated=truncated)
+    return EncoderOutput(hidden=h, source_mask=key_mask)
 
 
 def init_decoder_params(rng, params: dict, prefix: str, cfg: TransformerConfig):
@@ -156,27 +195,31 @@ def init_decoder_params(rng, params: dict, prefix: str, cfg: TransformerConfig):
 
 
 def decoder_step(params: dict, prefix: str, prev_emb: Tensor, enc: EncoderOutput,
-                 cfg: TransformerConfig, trace: AttentionTrace | None = None
-                 ) -> tuple[Tensor, Tensor]:
-    """Teacher-forced decoder pass over a full prefix.
+                 cfg: TransformerConfig, trace: AttentionTrace | None = None,
+                 cache: dict | None = None) -> tuple[Tensor, Tensor]:
+    """Causal decoder pass over the embeddings of the tokens not yet consumed.
 
-    prev_emb: [B, T, d] embeddings of the already-generated tokens (position 0
-    is the start token). Returns (h, c): the causal self-attention stream after
-    n_layers blocks and its cross-attention against the encoder states, both
-    [B, T, d].
+    prev_emb: [B, T, d]. Without a cache this is the teacher-forced pass over
+    a full prefix (position 0 is the start token); with one, the T positions
+    follow the ones already cached, whose keys and values they attend to and
+    extend. Returns (h, c): the causal self-attention stream after n_layers
+    blocks and its cross-attention against the encoder states, both [B, T, d].
     """
     b, t, _ = prev_emb.shape
     if t < 1:
         raise ContractError("decoder_step: empty prefix")
-    causal = np.tril(np.ones((t, t), dtype=bool))
-    causal = np.broadcast_to(causal, (b, t, t))
+    t0 = cache_length(cache, prefix)
+    causal = np.tril(np.ones((t, t0 + t), dtype=bool), k=t0)
+    causal = np.broadcast_to(causal, (b, t, t0 + t))
     h = prev_emb
     for i in range(cfg.n_layers):
-        h = transformer_block(params, f"{prefix}.self{i}", h, h, causal, cfg.n_heads)
+        h = transformer_block(params, f"{prefix}.self{i}", h, h, causal, cfg.n_heads,
+                              cache=cache)
     sk = enc.hidden.shape[1]
     allow = np.broadcast_to(enc.source_mask[:, None, :], (b, t, sk))
     c = transformer_block(params, f"{prefix}.cross", h, enc.hidden, allow,
-                          cfg.n_heads, trace=trace, trace_label=f"{prefix}.cross")
+                          cfg.n_heads, trace=trace, trace_label=f"{prefix}.cross",
+                          cache=cache)
     return h, c
 
 

@@ -93,3 +93,46 @@ def all_sequences(vocab_size, max_len):
     """Every token tuple of length 1..max_len (testing helper)."""
     for n in range(1, max_len + 1):
         yield from itertools.product(range(vocab_size), repeat=n)
+
+
+def reference_beam_search(step_fn, vocab_size, beam_size, max_len, sos_id, eos_id,
+                          trigram_block=False, length_norm=False):
+    """Beam search as one step call per live prefix, a trigram scan per
+    candidate and a full sort of every step's candidates, run to the end.
+    Returns (tokens, score, finished, truncated) of the winner."""
+    import numpy as np
+
+    def rank(hyp):
+        tokens, score = hyp[0], hyp[1]
+        if length_norm:
+            score = score / max(1, len(tokens) - 1)
+        return (-score, tokens)
+
+    def repeats_trigram(tokens, cand):
+        return len(tokens) >= 2 and any(
+            tokens[i:i + 3] == (tokens[-2], tokens[-1], cand)
+            for i in range(len(tokens) - 2))
+
+    alive = [((sos_id,), 0.0)]
+    finished, stalled = [], []
+    for _ in range(max_len):
+        candidates = []
+        for tokens, score in alive:
+            logits = np.asarray(step_fn(tokens), dtype=np.float64)
+            shifted = logits - logits.max()
+            logp = shifted - np.log(np.exp(shifted).sum())
+            allowed = [t for t in range(vocab_size)
+                       if not (trigram_block and repeats_trigram(tokens, t))]
+            if not allowed:
+                stalled.append((tokens, score))
+            candidates += [(tokens + (t,), score + float(logp[t])) for t in allowed]
+        kept = sorted(candidates, key=rank)[:beam_size]
+        finished += [h for h in kept if h[0][-1] == eos_id]
+        alive = [h for h in kept if h[0][-1] != eos_id]
+        if not alive:
+            break
+    if finished:
+        tokens, score = min(finished, key=rank)
+        return tokens, score, True, False
+    tokens, score = min(stalled + alive, key=rank)
+    return tokens, score, False, True

@@ -115,8 +115,34 @@ class TestCorruption:
         path = tmp_path / "m.ckpt"
         ckpt.save(path, model)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.raises(Exception):
+        with pytest.raises(ckpt.CheckpointError):
             ckpt.load(path)
+
+    def test_every_truncation_and_byte_flip_is_a_checkpoint_error(self, trained, tmp_path):
+        model, opt = trained
+        path = tmp_path / "m.ckpt"
+        ckpt.save(path, model, opt)
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        header_end = len(ckpt.MAGIC) + 8 + struct.unpack_from("<I", raw, len(ckpt.MAGIC) + 4)[0]
+        # every cut inside the header and the first records, then a stride
+        cuts = list(range(header_end + 200)) + list(range(header_end + 200, len(raw), 997))
+        for cut in cuts:
+            bad.write_bytes(raw[:cut])
+            ends = "ends inside a record" if cut >= len(ckpt.MAGIC) else "not a checkpoint"
+            with pytest.raises(ckpt.CheckpointError, match=ends):
+                ckpt.load(bad)
+        rng = np.random.default_rng(0)
+        flips = np.concatenate([rng.integers(len(ckpt.MAGIC), header_end, 150),
+                                rng.integers(header_end, len(raw), 150)])
+        for pos in flips:
+            flipped = bytearray(raw)
+            flipped[pos] ^= 0xFF
+            bad.write_bytes(bytes(flipped))
+            try:
+                ckpt.load(bad)     # a flip inside a string can still parse
+            except ckpt.CheckpointError as e:
+                assert "\n" not in str(e)
 
     def test_failed_save_leaves_no_partial_file(self, trained, tmp_path, monkeypatch):
         model, _ = trained

@@ -159,6 +159,45 @@ class TestExitCodes:
                 args[i] = f"corpus={bad}"
         assert main(args) == 2
 
+    def test_truncated_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
+        main(_train_args(workdir))
+        raw = (workdir / "model.ckpt").read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(raw[:len(raw) // 2])
+        rc = main(["generate", "--checkpoint", str(cut),
+                   "--input", str(workdir / "corpus.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: 7,
+        lambda d: d["turns"][0].update(user=None),
+        lambda d: d["turns"][0].update(response=["a", "list"]),
+        lambda d: d["turns"][0].update(acts="hotel inform name"),
+        lambda d: d["turns"][0].update(db={"hotel": "many"}),
+        lambda d: d["turns"][0].update(db=[3]),
+        lambda d: d["turns"][0].update(belief={"hotel": "cheap"}),
+        lambda d: d["turns"][0].update(belief=["hotel"]),
+        lambda d: d["turns"].__setitem__(0, "hello"),
+    ], ids=["dialogue-not-dict", "user-null", "response-list", "acts-str",
+            "db-not-int", "db-not-dict", "belief-not-dict-of-dicts",
+            "belief-not-dict", "turn-not-dict"])
+    def test_mistyped_corpus_field_is_data_error(self, workdir, tmp_path, capsys, mutate):
+        dialogues = json.loads((workdir / "corpus.json").read_text())
+        replaced = mutate(dialogues[0])
+        if replaced is not None:
+            dialogues[0] = replaced
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dialogues))
+        args = _train_args(workdir)
+        for i, a in enumerate(args):
+            if a.startswith("corpus="):
+                args[i] = f"corpus={bad}"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
     def test_bad_set_syntax(self, capsys):
         assert main(["train", "--set", "epochs"]) == 1
 

@@ -2,14 +2,17 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cogen.corpus import (SynthSpec, build_vocab, expand_dialogue,
-                          synth_generate, toy_ontology)
-from cogen.decode import (DecodeConfig, beam_search, export_trace,
+from cogen.corpus import (EOS_ID, PAD_ID, SOS_ID, SynthSpec, build_vocab,
+                          expand_dialogue, make_batch, synth_generate, toy_ontology)
+from cogen.decode import (DecodeConfig, beam_search, export_trace, extend_bans,
                           generate_turn, has_repeated_trigram, trigram_allowed)
 from cogen.model import CogenModel
-from cogen.transformer import TransformerConfig
-from oracles import exhaustive_decode
+from cogen.tensor import no_grad
+from cogen.transformer import AttentionTrace, TransformerConfig
+from oracles import exhaustive_decode, reference_beam_search
 
 SOS, EOS = 1, 2
 
@@ -32,6 +35,17 @@ class TestTrigram:
 
     def test_different_third_token_allowed(self):
         assert trigram_allowed((4, 5, 6, 4, 5), 7)
+
+    @given(st.lists(st.integers(0, 3), max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_ban_map_blocks_what_trigram_allowed_blocks(self, tokens):
+        bans, prefix = {}, (SOS,)
+        for tok in tokens:
+            for cand in range(4):
+                blocked = cand in bans.get(prefix[-2:], ())
+                assert blocked == (not trigram_allowed(prefix, cand))
+            bans = extend_bans(bans, prefix, tok)
+            prefix += (tok,)
 
     def test_has_repeated_trigram(self):
         assert has_repeated_trigram([1, 2, 3, 1, 2, 3])
@@ -77,6 +91,35 @@ class TestBeamAgainstEnumeration:
                 continue   # a truncated prefix is not comparable to the optimum
             _, best, _ = exhaustive_decode(step, vocab, max_len, SOS, EOS)
             assert hyp.score <= best + 1e-9
+
+
+class TestBeamAgainstReference:
+    @pytest.mark.parametrize("beam_size", [1, 2, 3, 5])
+    @pytest.mark.parametrize("trigram_block,length_norm",
+                             [(False, False), (True, False), (True, True)])
+    def test_matches_per_prefix_search(self, beam_size, trigram_block, length_norm):
+        """The batched search picks what a per-prefix search with a full sort
+        and no early stop picks, down to ties: integer logits make many
+        candidates score alike."""
+        for seed in range(60):
+            vocab = 4 + seed % 3
+            base = random_step_fn(seed, vocab, scale=1.5)
+
+            def step(prefix, seed=seed, vocab=vocab):
+                if seed % 2:
+                    logits = np.round(base(prefix))
+                else:
+                    # one value set, permuted per prefix: equal sums across rows
+                    key = zlib.crc32(repr((seed,) + tuple(prefix)).encode())
+                    logits = np.random.default_rng(key).permutation(vocab).astype(float)
+                logits[EOS] -= 1.0
+                return logits
+            cfg = DecodeConfig(beam_size=beam_size, max_len=7,
+                               trigram_block=trigram_block, length_norm=length_norm)
+            hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+            ref = reference_beam_search(step, vocab, beam_size, 7, SOS, EOS,
+                                        trigram_block, length_norm)
+            assert (hyp.tokens, hyp.score, hyp.finished, hyp.truncated) == ref, seed
 
 
 class TestBeamBehaviour:
@@ -223,3 +266,59 @@ class TestGenerateTurn:
                                 model.ontology, act_attention="mean", seed=0)
         result = generate_turn(mean_model, turns[0])
         assert result.act_attention is None
+
+
+def prefix_recompute_turn(model, turn, act_cfg, resp_cfg):
+    """Generation by full-prefix passes: every step call reruns the decoder
+    over its whole prefix, then the act and response decoders run again over
+    the winners to collect the act hidden states and the attention trace."""
+    with no_grad():
+        batch = make_batch([turn], model.text_vocab, model.act_vocab,
+                           model.ontology, model.cfg.max_seq_len)
+        dual = model.encode_shared(batch)
+
+        def act_step(prefix):
+            logits, _ = model.act_forward(dual, batch.belief, np.asarray([prefix]))
+            return logits.data[0, -1]
+
+        act_hyp = beam_search(act_step, act_cfg, len(model.act_vocab))
+        body = [t for t in act_hyp.tokens if t not in (SOS_ID, EOS_ID, PAD_ID)]
+        act_in = np.asarray([[SOS_ID] + body])
+        _, act_hidden = model.act_forward(dual, batch.belief, act_in)
+
+        def resp_step(prefix):
+            return model.response_forward(dual, act_hidden, act_in != PAD_ID,
+                                          np.asarray([prefix])).data[0, -1]
+
+        resp_hyp = beam_search(resp_step, resp_cfg, len(model.text_vocab))
+        trace = AttentionTrace()
+        model.response_forward(dual, act_hidden, act_in != PAD_ID,
+                               np.asarray([resp_hyp.tokens]), trace=trace)
+        weights = dict(trace.entries).get("respdec.dyn")
+    return (model.act_vocab.decode(act_hyp.tokens),
+            model.text_vocab.decode([t for t in resp_hyp.tokens if t not in (SOS_ID, EOS_ID)]),
+            None if weights is None else weights[0].mean(axis=0))
+
+
+@pytest.mark.parametrize("act_attention", ["dynamic", "mean"])
+@pytest.mark.parametrize("beam_size", [1, 3])
+def test_generate_turn_matches_prefix_recompute(tiny_model, act_attention, beam_size):
+    """The cached decoders give the tokens and the act attention of full
+    prefix passes. The untrained model runs both searches to max_len and, in
+    mean mode, emits <sos> inside its act sequences."""
+    model, turns = tiny_model
+    for seed in (0, 1):
+        m = CogenModel(model.cfg, model.text_vocab, model.act_vocab, model.ontology,
+                       act_attention=act_attention, seed=seed)
+        act_cfg = DecodeConfig(beam_size=beam_size, max_len=30, trigram_block=False)
+        resp_cfg = DecodeConfig(beam_size=beam_size, max_len=40, trigram_block=True)
+        for turn in turns[:4]:
+            result = generate_turn(m, turn, act_cfg, resp_cfg)
+            acts, response, attn = prefix_recompute_turn(m, turn, act_cfg, resp_cfg)
+            assert result.act_tokens == acts
+            assert result.response_tokens == response
+            if attn is None:
+                assert result.act_attention is None
+            else:
+                assert result.act_attention.shape == attn.shape
+                assert np.allclose(result.act_attention, attn, atol=1e-5)

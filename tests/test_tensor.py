@@ -54,6 +54,17 @@ class TestSoftmax:
             x = Tensor(rng.uniform(-1e3, 1e3, size=(4, 7)))
             assert np.allclose(softmax(x, axis=-1).data.sum(axis=-1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_ndarray_methods(self, dtype):
+        rng = np.random.default_rng(4)
+        for shape in [(4, 1, 32), (2, 2, 9, 9), (3, 5)]:
+            with T.use_dtype(dtype):
+                x = Tensor(rng.standard_normal(shape) * 20)
+                for axis in (-1, 0):
+                    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+                    expected = e / e.sum(axis=axis, keepdims=True)
+                    assert np.array_equal(softmax(x, axis=axis).data, expected)
+
 
 class TestLayerNorm:
     def test_constant_row(self):
@@ -71,6 +82,29 @@ class TestLayerNorm:
         out = layer_norm(Tensor([x]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data[0], expected, atol=1e-6)
         assert np.allclose(out.data[0], [-1.2247, 0.0, 1.2247], atol=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_mean_and_var(self, dtype):
+        """The fused statistics reproduce x.mean()/x.var() to the last bit,
+        forward and backward, so training arithmetic is unchanged."""
+        rng = np.random.default_rng(5)
+        for shape in [(4, 1, 32), (16, 40, 32), (3, 7, 8)]:
+            with T.use_dtype(dtype):
+                x = Tensor(rng.standard_normal(shape) * rng.uniform(0.1, 30) + 3,
+                           requires_grad=True)
+                gain = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+                bias = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+                xd = x.data
+                inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + 1e-5)
+                xhat = (xd - xd.mean(axis=-1, keepdims=True)) * inv
+                out = layer_norm(x, gain, bias)
+                assert np.array_equal(out.data, xhat * gain.data + bias.data)
+                g = rng.standard_normal(shape).astype(dtype)
+                (out * Tensor(g)).sum().backward()
+                gg = g * gain.data
+                gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                            - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+                assert np.array_equal(x.grad, gx.astype(dtype))
 
 
 class TestCrossEntropy:

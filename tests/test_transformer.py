@@ -3,8 +3,9 @@ import pytest
 
 from cogen import tensor as T
 from cogen.tensor import ContractError, Tensor, gradcheck
-from cogen.transformer import (AttentionTrace, TransformerConfig, decoder_step,
-                               encode, init_block_params, init_decoder_params,
+from cogen.transformer import (AttentionTrace, TransformerConfig, cache_length,
+                               decoder_step, encode, gather_cache,
+                               init_block_params, init_decoder_params,
                                init_encoder_params, sinusoidal_positions,
                                transformer_block)
 
@@ -149,13 +150,44 @@ class TestDecoder:
         assert np.allclose(c1.data[:, :3], c2.data[:, :3], atol=1e-5)
 
     def test_incremental_consistency(self):
-        """Full-prefix pass agrees with a shorter prefix on shared positions."""
+        """Full-prefix pass agrees with a shorter prefix on shared positions,
+        and with cached passes fed one position, or a few, at a time."""
         cfg, params, enc, rng = self._setup(3)
         prefix = rng.standard_normal((1, 5, 8))
         h_full, c_full = decoder_step(params, "dec", Tensor(prefix), enc, cfg)
         h_part, c_part = decoder_step(params, "dec", Tensor(prefix[:, :3]), enc, cfg)
         assert np.allclose(h_full.data[:, :3], h_part.data, atol=1e-5)
         assert np.allclose(c_full.data[:, :3], c_part.data, atol=1e-5)
+        for chunks in ([1, 1, 1, 1, 1], [2, 3], [1, 4]):
+            cache, hs, cs, start = {}, [], [], 0
+            for n in chunks:
+                h, c = decoder_step(params, "dec", Tensor(prefix[:, start:start + n]),
+                                    enc, cfg, cache=cache)
+                hs.append(h.data)
+                cs.append(c.data)
+                start += n
+            assert cache_length(cache, "dec") == 5
+            assert np.allclose(np.concatenate(hs, axis=1), h_full.data, atol=1e-5)
+            assert np.allclose(np.concatenate(cs, axis=1), c_full.data, atol=1e-5)
+
+    def test_cache_rows_follow_gather(self):
+        """Rows taken from a cache, in any order and with repeats, continue
+        as the prefixes they were taken from; the encoder keys and values
+        keep batch 1 and broadcast."""
+        cfg, params, enc, rng = self._setup(6)
+        seqs = rng.standard_normal((3, 4, 8))
+        seqs[:, 0] = seqs[0, 0]              # one shared start position
+        cache = {}
+        decoder_step(params, "dec", Tensor(seqs[:1, :1]), enc, cfg, cache=cache)
+        cache = gather_cache(cache, [0, 0, 0])
+        decoder_step(params, "dec", Tensor(seqs[:, 1:2]), enc, cfg, cache=cache)
+        order = [2, 0, 1]
+        cache = gather_cache(cache, order)
+        h, c = decoder_step(params, "dec", Tensor(seqs[order, 2:]), enc, cfg, cache=cache)
+        assert cache["dec.cross"].k.shape[0] == 1
+        h_full, c_full = decoder_step(params, "dec", Tensor(seqs[order]), enc, cfg)
+        assert np.allclose(h.data, h_full.data[:, 2:], atol=1e-5)
+        assert np.allclose(c.data, c_full.data[:, 2:], atol=1e-5)
 
     def test_empty_prefix_rejected(self):
         cfg, params, enc, _ = self._setup(4)
@@ -170,6 +202,44 @@ class TestDecoder:
         labels = [label for label, _ in trace.entries]
         assert "dec.cross" in labels
         assert trace.rows_sum_to_one()
+
+
+@pytest.mark.parametrize("act_attention", ["dynamic", "mean"])
+def test_model_incremental_consistency(act_attention):
+    """act_forward and response_forward fed one token at a time with a cache
+    equal their teacher-forced passes over the whole prefix."""
+    from cogen.corpus import (SynthSpec, build_vocab, expand_dialogue, make_batch,
+                              synth_generate, toy_ontology)
+    from cogen.model import CogenModel
+    from cogen.tensor import no_grad
+    spec = SynthSpec(corpus_size=3, seed=2)
+    ontology = toy_ontology(spec)
+    turns = [t for d in synth_generate(spec) for t in expand_dialogue(d)]
+    text_vocab, act_vocab = build_vocab(turns, ontology)
+    cfg = TransformerConfig(n_layers=2, n_heads=2, d_model=8, max_seq_len=128)
+    model = CogenModel(cfg, text_vocab, act_vocab, ontology,
+                       act_attention=act_attention, seed=1)
+    batch = make_batch(turns[:2], text_vocab, act_vocab, ontology, 128)
+    with no_grad():
+        dual = model.encode_shared(batch)
+        act_logits, act_hidden = model.act_forward(dual, batch.belief, batch.act_in)
+        act_mask = np.ones(batch.act_in.shape, dtype=bool)
+        resp_logits = model.response_forward(dual, act_hidden, act_mask, batch.resp_in)
+        act_cache, resp_cache = {}, {}
+        steps = []
+        for t in range(batch.act_in.shape[1]):
+            logits, hidden = model.act_forward(dual, batch.belief, batch.act_in[:, t:t + 1],
+                                               cache=act_cache)
+            steps.append((logits.data, hidden.data))
+        assert np.allclose(np.concatenate([s[0] for s in steps], axis=1),
+                           act_logits.data, atol=1e-5)
+        assert np.allclose(np.concatenate([s[1] for s in steps], axis=1),
+                           act_hidden.data, atol=1e-5)
+        steps = [model.response_forward(dual, act_hidden, act_mask,
+                                        batch.resp_in[:, t:t + 1], cache=resp_cache).data
+                 for t in range(batch.resp_in.shape[1])]
+        assert np.allclose(np.concatenate(steps, axis=1), resp_logits.data, atol=1e-5)
+    assert ("respdec.dyn" in resp_cache) == (act_attention == "dynamic")
 
 
 class TestConfig:
