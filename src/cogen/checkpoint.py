@@ -15,7 +15,7 @@ from .corpus import Vocab
 from .files import atomic_write
 from .transformer import TransformerConfig
 from .model import CogenModel
-from .tensor import Adam
+from .tensor import Adam, NumericError
 
 MAGIC = b"COGENCK1"
 VERSION = 1
@@ -62,6 +62,11 @@ def _read_floats(f, shape: tuple) -> np.ndarray:
 
 
 def save(path, model: CogenModel, opt: Adam | None = None, extra: dict | None = None):
+    """Write the checkpoint; a non-finite parameter raises NumericError and
+    writes nothing."""
+    for name, p in model.params.items():
+        if not np.isfinite(p.data).all():
+            raise NumericError(f"refusing to save non-finite parameter {name}")
     header = {
         "config": {"n_layers": model.cfg.n_layers, "n_heads": model.cfg.n_heads,
                    "d_model": model.cfg.d_model, "d_ff": model.cfg.d_ff,

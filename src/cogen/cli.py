@@ -109,11 +109,10 @@ def _sweep(run: RunConfig, turns, text_vocab, act_vocab, ontology) -> int:
 
 
 def _verify_checkpoint(header, text_vocab, ontology):
-    from .checkpoint import CheckpointError, ontology_hash, vocab_hash
-    if header["ontology_hash"] != ontology_hash(ontology):
-        raise CheckpointError("checkpoint ontology hash does not match corpus ontology")
-    if header["vocab_hash"] != vocab_hash(text_vocab):
-        raise CheckpointError("checkpoint vocab hash does not match corpus vocabulary")
+    if header["ontology_hash"] != ckpt.ontology_hash(ontology):
+        raise ckpt.CheckpointError("checkpoint ontology hash does not match corpus ontology")
+    if header["vocab_hash"] != ckpt.vocab_hash(text_vocab):
+        raise ckpt.CheckpointError("checkpoint vocab hash does not match corpus vocabulary")
 
 
 def cmd_eval(args) -> int:
@@ -260,19 +259,13 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, VocabularyError, FileNotFoundError,
+    except (CorpusError, VocabularyError, ckpt.CheckpointError, FileNotFoundError,
             json.JSONDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as e:
-        from .checkpoint import CheckpointError
-        if isinstance(e, CheckpointError):
-            print(f"data error: {e}", file=sys.stderr)
-            return EXIT_DATA
-        if isinstance(e, (NumericError, ContractError, FloatingPointError)):
-            print(f"numeric failure: {e}", file=sys.stderr)
-            return EXIT_NUMERIC
-        raise
+    except (NumericError, ContractError, FloatingPointError) as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

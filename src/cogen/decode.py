@@ -173,7 +173,8 @@ class StepState:
 def _incremental(forward):
     """Batched step function around `forward(new_tokens, cache) -> (logits,
     outputs)`, which runs a decoder over the tokens of each prefix past the
-    state's length."""
+    state's length. <pad> and <sos> get no probability: the decoders never
+    emit them after the start token."""
     def step(frontier: Frontier):
         state = (StepState({}) if frontier.state is None
                  else frontier.state.rows(frontier.parents))
@@ -181,20 +182,18 @@ def _incremental(forward):
         logits, outputs = forward(new, state.cache)
         state.outputs = outputs if state.outputs is None else np.concatenate(
             [state.outputs, outputs], axis=1)
-        return logits[:, -1], state
+        logits = logits[:, -1]
+        logits[:, [PAD_ID, SOS_ID]] = -np.inf
+        return logits, state
     return step
 
 
 def _consume(step, hyp: Hypothesis, inputs: tuple) -> StepState:
-    """The one-row state of a decoder that has consumed `inputs`: the state
-    the search left for `hyp`, extended by one cached call over the inputs it
-    did not feed. When `inputs` does not extend what was fed (the act decoder
-    emitted <sos> or <pad>, which act_in drops), the call starts from an
-    empty cache."""
+    """The one-row state of a decoder that has consumed `inputs`, which
+    extend `hyp.tokens[:-1]`: the state the search left for `hyp`, extended
+    by one cached call over the inputs it did not feed."""
     state, row = hyp.cache
-    if hyp.tokens[:state.length] != inputs[:state.length]:
-        state, row = None, 0
-    elif state.length == len(inputs):
+    if state.length == len(inputs):
         return state.rows([row])
     return step(Frontier([inputs], np.asarray([row]), state))[1]
 
@@ -228,13 +227,11 @@ def generate_turn(model, turn, act_cfg: DecodeConfig | None = None,
 
         act_step = _incremental(act_forward)
         act_hyp = beam_search(act_step, act_cfg, len(model.act_vocab), batched=True)
-        body = [t for t in act_hyp.tokens
-                if t not in (SOS_ID, EOS_ID, PAD_ID)]
-        if not body:
+        act_in = act_hyp.tokens[:-1] if act_hyp.finished else act_hyp.tokens
+        if len(act_in) == 1:
             events.append("empty-act-body")
-        act_in = (SOS_ID, *body)
         act_hidden = Tensor(_consume(act_step, act_hyp, act_in).outputs)
-        act_mask = np.asarray([act_in]) != PAD_ID
+        act_mask = np.ones((1, len(act_in)), dtype=bool)
 
         def resp_forward(new, cache):
             trace = AttentionTrace()

@@ -85,16 +85,18 @@ def _check_embedding(seed):
     return gradcheck(lambda t: (embedding(t, ids) * embedding(t, ids)).sum(), [table])
 
 
-def _check_transformer_block(seed):
+def _check_transformer_block(seed, causal=False):
+    """One self-attention block over three positions, the middle one a
+    masked key."""
     from .transformer import init_block_params, transformer_block
     rng = np.random.default_rng(seed)
     params = {}
     init_block_params(rng, params, "blk", d_model=4, d_ff=8)
     x = _rt(rng, 1, 3, 4)
-    allow = np.ones((1, 3, 3), dtype=bool)
+    key_mask = np.array([[True, False, True]])
 
     def fn(x, *ps):
-        out = transformer_block(params, "blk", x, x, allow, n_heads=2)
+        out = transformer_block(params, "blk", x, x, key_mask, n_heads=2, causal=causal)
         return (out * out).sum()
 
     tensors = [x] + list(params.values())
@@ -148,6 +150,8 @@ REGISTRY = [
     ("softmax-cross-entropy", _check_cross_entropy, PRIMITIVE_TOL),
     ("embedding", _check_embedding, PRIMITIVE_TOL),
     ("transformer-block", _check_transformer_block, PRIMITIVE_TOL),
+    ("causal-block", lambda seed: _check_transformer_block(seed, causal=True),
+     PRIMITIVE_TOL),
     ("joint-loss", _check_joint_loss, END_TO_END_TOL),
 ]
 

@@ -147,14 +147,12 @@ class CogenModel:
         e = self._embed(self.params["emb.src"], resp_in, cache_length(cache, "respdec"))
         h, c = decoder_step(self.params, "respdec", e, dual.enc_resp, self.cfg,
                             trace=trace, cache=cache)
-        b, tr, d = h.shape
-        ta = act_hidden.shape[1]
         if self.act_attention == "dynamic":
-            allow = np.broadcast_to(act_mask[:, None, :], (b, tr, ta))
             o = transformer_block(self.params, "respdec.dyn", h, act_hidden,
-                                  allow, self.cfg.n_heads, trace=trace,
-                                  trace_label="respdec.dyn", cache=cache)
+                                  act_mask, self.cfg.n_heads, trace=trace, cache=cache)
         else:
+            b, tr, _ = h.shape
+            ta = act_hidden.shape[1]
             w = act_mask.astype(T.default_dtype())
             w = w / w.sum(axis=-1, keepdims=True)
             w = np.broadcast_to(w[:, None, :], (b, tr, ta)).copy()

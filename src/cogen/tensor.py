@@ -20,6 +20,10 @@ class ContractError(RuntimeError):
     """Raised when an operation's preconditions are violated."""
 
 
+class NumericError(RuntimeError):
+    """Non-finite loss or parameter during training."""
+
+
 _default_dtype = np.float32
 _grad_enabled = True
 
@@ -261,10 +265,16 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return tensors[0]._record(out, tuple(tensors), bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`."""
+def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
+    """Numerically stable softmax along `axis`.
+
+    `mask` (bool, broadcastable to x, True = keep) gives the False entries
+    weight exactly 0 and gradient 0; it is applied before the row max and
+    is not part of the graph. Every row must keep at least one entry.
+    """
+    data = x.data if mask is None else np.where(mask, x.data, -np.inf)
     # ufunc reductions: the arithmetic of ndarray.max/.sum without their call overhead
-    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
+    shifted = data - np.maximum.reduce(data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / np.add.reduce(e, axis=axis, keepdims=True)
     out = Tensor(y)
@@ -346,12 +356,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> T
         logits._accum(g.reshape(()) * grad)
 
     return logits._record(out, (logits,), bw)
-
-
-def additive_mask(allowed: np.ndarray, dtype=None) -> np.ndarray:
-    """Boolean allow-matrix -> additive pre-softmax mask (0 allowed, -1e9 not)."""
-    dtype = dtype or _default_dtype
-    return np.where(allowed, 0.0, -1e9).astype(dtype)
 
 
 # -- optimizer ---------------------------------------------------------------

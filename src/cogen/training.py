@@ -9,12 +9,8 @@ from .corpus import load_corpus, build_vocab, batchify, PAD_ID
 from .config import RunConfig
 from .files import atomic_write
 from .model import (CogenModel, LossMode, act_only_step, train_step)
-from .tensor import Adam, no_grad
+from .tensor import Adam, NumericError, no_grad
 from .transformer import TransformerConfig
-
-
-class NumericError(RuntimeError):
-    """Non-finite loss or parameter during training."""
 
 
 def load_data(run: RunConfig):
@@ -92,22 +88,24 @@ def train(run: RunConfig, model: CogenModel, turns, opt=None,
                         model.text_vocab, model.act_vocab, model.ontology,
                         run.max_seq_len)
 
+    def finite(loss):
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite loss at epoch {epoch}")
+        return loss
+
     warmup = run.warmup_epochs if run.mode == "joint" else 0
     total = warmup + run.epochs
     epoch = start_epoch
     while epoch < total:
         batches = epoch_batches(epoch)
-        if run.mode == "joint" and epoch < warmup:
-            losses = [act_only_step(model, b, opt) for b in batches]
-            emit(f"epoch {epoch} phase warmup l_a {np.mean(losses):.6f}")
-        elif run.mode == "act_only":
-            losses = [act_only_step(model, b, opt) for b in batches]
-            emit(f"epoch {epoch} phase act_only l_a {np.mean(losses):.6f}")
+        if run.mode == "act_only" or epoch < warmup:
+            phase = "warmup" if run.mode == "joint" else "act_only"
+            l_a = finite(np.mean([act_only_step(model, b, opt) for b in batches]))
+            emit(f"epoch {epoch} phase {phase} l_a {l_a:.6f}")
         else:
             stats = [train_step(model, b, opt, mode) for b in batches]
             mean = {k: float(np.mean([s[k] for s in stats])) for k in stats[0]}
-            if not np.isfinite(mean["total"]):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
+            finite(mean["total"])
             emit(f"epoch {epoch} phase {run.mode} "
                  f"l_a {mean['l_a']:.6f} l_r {mean['l_r']:.6f} "
                  f"total {mean['total']:.6f} "

@@ -1,9 +1,10 @@
 """Transformer building blocks: multi-head attention + FFN blocks, encoder
 stack, causal decoder, and output projection.
 
-Layout conventions: activations are [batch, seq, d_model]; attention masks are
-boolean allow-matrices [batch, q_len, k_len] (True = may attend). Blocks are
-pre-norm: x + Attn(LN(x)), then s + FFN(LN(s)).
+Layout conventions: activations are [batch, seq, d_model]. Attention takes a
+boolean key mask [batch or 1, k_len] (True = may be attended to) and a causal
+flag; both are applied inside the softmax, so no mask enters the autodiff
+graph. Blocks are pre-norm: x + Attn(LN(x)), then s + FFN(LN(s)).
 
 Incremental decoding passes a cache (a dict from block prefix to KVCache)
 through the same functions that teacher forcing calls without one.
@@ -112,22 +113,23 @@ def init_block_params(rng, params: dict, prefix: str, d_model: int, d_ff: int,
 
 
 def transformer_block(params: dict, prefix: str, q: Tensor, kv: Tensor,
-                      allow: np.ndarray, n_heads: int,
+                      key_mask: np.ndarray | None, n_heads: int, causal: bool = False,
                       trace: AttentionTrace | None = None,
-                      trace_label: str = "", cache: dict | None = None) -> Tensor:
+                      cache: dict | None = None) -> Tensor:
     """Pre-norm multi-head attention + FFN with residuals on the query stream.
 
-    q: [B, Sq, d], kv: [B, Sk, dk], allow: [B, Sq, Sk] bool. Disallowed keys
-    get -1e9 before softmax; a query row with no allowed key is a contract
-    violation.
+    q: [B, Sq, d], kv: [B, Sk, dk], key_mask: [B or 1, Sk] bool or None.
+    Masked keys get weight 0 in every query row; a row of key_mask with no
+    key is a contract violation. causal lets query i attend to the keys up
+    to its own position. The trace entry is labelled `prefix`.
 
     With a cache, self-attention (kv is q) attends over the cached keys and
-    values followed by this call's positions, and allow spans all of them;
+    values followed by this call's positions, which are the last Sq of them;
     attention over another stream reuses the keys and values of its first
     call, whose batch may be 1 and broadcast against q.
     """
-    if allow is not None and not allow.any(axis=-1).all():
-        raise ContractError("attention: query position with every key masked")
+    if key_mask is not None and not key_mask.any(axis=-1).all():
+        raise ContractError("attention: every key masked")
     b, sq, d = q.shape
     dh = d // n_heads
 
@@ -148,11 +150,14 @@ def transformer_block(params: dict, prefix: str, q: Tensor, kv: Tensor,
             entry.k, entry.v, entry.grows = kh, vh, kv is q
 
     scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
-    if allow is not None:
-        scores = scores + Tensor.const(T.additive_mask(allow[:, None, :, :]))
-    weights = softmax(scores, axis=-1)
+    mask = None if key_mask is None else key_mask[:, None, None, :]
+    if causal:
+        sk = kh.shape[2]
+        past = np.tri(sq, sk, sk - sq, dtype=bool)   # query i is key sk - sq + i
+        mask = past if mask is None else mask & past
+    weights = softmax(scores, axis=-1, mask=mask)
     if trace is not None:
-        trace.add(trace_label, weights.data.copy())
+        trace.add(prefix, weights.data.copy())
     mixed = matmul(weights, vh).transpose(0, 2, 1, 3).reshape(b, sq, d)
     s = q + matmul(mixed, params[f"{prefix}.wo"])
 
@@ -175,15 +180,12 @@ def encode(params: dict, prefix: str, emb: Tensor, key_mask: np.ndarray,
 
     emb: [B, S, d] embeddings (position encodings included by the caller).
     key_mask: [B, S] bool; masked positions are excluded as keys everywhere.
+    Their own outputs are computed too, but only as queries, so nothing
+    downstream may read them as keys (EncoderOutput.source_mask).
     """
-    b, s, _ = emb.shape
-    allow = np.broadcast_to(key_mask[:, None, :], (b, s, s)).copy()
-    # every query row must keep at least itself attendable
-    idx = np.arange(s)
-    allow[:, idx, idx] = True
     h = emb
     for i in range(cfg.n_layers):
-        h = transformer_block(params, f"{prefix}.l{i}", h, h, allow, cfg.n_heads)
+        h = transformer_block(params, f"{prefix}.l{i}", h, h, key_mask, cfg.n_heads)
     h = layer_norm(h, params[f"{prefix}.lnf_g"], params[f"{prefix}.lnf_b"])
     return EncoderOutput(hidden=h, source_mask=key_mask)
 
@@ -205,21 +207,14 @@ def decoder_step(params: dict, prefix: str, prev_emb: Tensor, enc: EncoderOutput
     extend. Returns (h, c): the causal self-attention stream after n_layers
     blocks and its cross-attention against the encoder states, both [B, T, d].
     """
-    b, t, _ = prev_emb.shape
-    if t < 1:
+    if prev_emb.shape[1] < 1:
         raise ContractError("decoder_step: empty prefix")
-    t0 = cache_length(cache, prefix)
-    causal = np.tril(np.ones((t, t0 + t), dtype=bool), k=t0)
-    causal = np.broadcast_to(causal, (b, t, t0 + t))
     h = prev_emb
     for i in range(cfg.n_layers):
-        h = transformer_block(params, f"{prefix}.self{i}", h, h, causal, cfg.n_heads,
-                              cache=cache)
-    sk = enc.hidden.shape[1]
-    allow = np.broadcast_to(enc.source_mask[:, None, :], (b, t, sk))
-    c = transformer_block(params, f"{prefix}.cross", h, enc.hidden, allow,
-                          cfg.n_heads, trace=trace, trace_label=f"{prefix}.cross",
-                          cache=cache)
+        h = transformer_block(params, f"{prefix}.self{i}", h, h, None, cfg.n_heads,
+                              causal=True, cache=cache)
+    c = transformer_block(params, f"{prefix}.cross", h, enc.hidden, enc.source_mask,
+                          cfg.n_heads, trace=trace, cache=cache)
     return h, c
 
 

@@ -136,3 +136,83 @@ def reference_beam_search(step_fn, vocab_size, beam_size, max_len, sos_id, eos_i
         return tokens, score, True, False
     tokens, score = min(stalled + alive, key=rank)
     return tokens, score, False, True
+
+
+def allow_matrix_block(params, prefix, q, kv, allow, n_heads, cache=None):
+    """The attention + FFN block as it was before key masks: a [B, Sq, Sk]
+    boolean allow matrix, turned into a constant additive -1e9 mask node
+    that the scores pass through. Same parameters, cache and layout as
+    transformer.transformer_block."""
+    import numpy as np
+    from cogen.tensor import ContractError, Tensor, concat, layer_norm, matmul, softmax
+    from cogen.transformer import KVCache
+
+    if not allow.any(axis=-1).all():
+        raise ContractError("attention: query position with every key masked")
+    b, sq, d = q.shape
+    dh = d // n_heads
+
+    def heads(x, w):
+        bx, sx = x.shape[:2]
+        return matmul(x, params[f"{prefix}.{w}"]).reshape(
+            bx, sx, n_heads, dh).transpose(0, 2, 1, 3)
+
+    qn = layer_norm(q, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
+    qh = heads(qn, "wq")
+    entry = None if cache is None else cache.setdefault(prefix, KVCache())
+    if entry is not None and entry.k is not None and kv is not q:
+        kh, vh = entry.k, entry.v
+    else:
+        kvn = kv if kv is not q else qn
+        kh, vh = heads(kvn, "wk"), heads(kvn, "wv")
+        if entry is not None:
+            if entry.k is not None:
+                kh = concat([entry.k, kh], axis=2)
+                vh = concat([entry.v, vh], axis=2)
+            entry.k, entry.v, entry.grows = kh, vh, kv is q
+    scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+    additive = np.where(allow[:, None, :, :], 0.0, -1e9).astype(scores.data.dtype)
+    weights = softmax(scores + Tensor.const(additive), axis=-1)
+    mixed = matmul(weights, vh).transpose(0, 2, 1, 3).reshape(b, sq, d)
+    s = q + matmul(mixed, params[f"{prefix}.wo"])
+    sn = layer_norm(s, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"])
+    ff = matmul(sn, params[f"{prefix}.ff_w1"]) + params[f"{prefix}.ff_b1"]
+    ff = matmul(ff.relu(), params[f"{prefix}.ff_w2"]) + params[f"{prefix}.ff_b2"]
+    return s + ff
+
+
+def allow_matrix_encode(params, prefix, emb, key_mask, cfg):
+    """The encoder stack with the allow matrix the key mask used to be
+    expanded to: every query row sees the keys and, to stay non-empty,
+    itself. Returns the final hidden states."""
+    import numpy as np
+    from cogen.tensor import layer_norm
+
+    b, s, _ = emb.shape
+    allow = np.broadcast_to(key_mask[:, None, :], (b, s, s)).copy()
+    allow[:, np.arange(s), np.arange(s)] = True
+    h = emb
+    for i in range(cfg.n_layers):
+        h = allow_matrix_block(params, f"{prefix}.l{i}", h, h, allow, cfg.n_heads)
+    return layer_norm(h, params[f"{prefix}.lnf_g"], params[f"{prefix}.lnf_b"])
+
+
+def allow_matrix_decoder_step(params, prefix, prev_emb, enc, cfg, cache=None):
+    """decoder_step with a [B, T, cached + T] causal matrix and a broadcast
+    source-mask matrix for the cross-attention. Returns (h, c)."""
+    import numpy as np
+    from cogen.transformer import cache_length
+
+    b, t, _ = prev_emb.shape
+    t0 = cache_length(cache, prefix)
+    causal = np.broadcast_to(np.tril(np.ones((t, t0 + t), dtype=bool), k=t0),
+                             (b, t, t0 + t))
+    h = prev_emb
+    for i in range(cfg.n_layers):
+        h = allow_matrix_block(params, f"{prefix}.self{i}", h, h, causal, cfg.n_heads,
+                               cache=cache)
+    sk = enc.hidden.shape[1]
+    allow = np.broadcast_to(enc.source_mask[:, None, :], (b, t, sk))
+    c = allow_matrix_block(params, f"{prefix}.cross", h, enc.hidden, allow,
+                           cfg.n_heads, cache=cache)
+    return h, c

@@ -7,7 +7,7 @@ from cogen import checkpoint as ckpt
 from cogen.corpus import (SynthSpec, build_vocab, expand_dialogue, make_batch,
                           synth_generate, toy_ontology)
 from cogen.model import CogenModel, LossMode, train_step
-from cogen.tensor import Adam
+from cogen.tensor import Adam, NumericError
 from cogen.transformer import TransformerConfig
 
 
@@ -158,6 +158,19 @@ class TestCorruption:
         with pytest.raises(Boom):
             ckpt.save(path, model)
         assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_refused(self, trained, tmp_path, bad):
+        model, opt = trained
+        p = model.params["respdec.dyn.wq"]
+        saved = p.data.copy()
+        p.data[1, 2] = bad
+        try:
+            with pytest.raises(NumericError, match="respdec.dyn.wq"):
+                ckpt.save(tmp_path / "m.ckpt", model, opt)
+        finally:
+            p.data = saved
         assert list(tmp_path.iterdir()) == []
 
 

@@ -198,6 +198,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [{"mode": "act_only"}, {"warmup_epochs": 3}],
+                             ids=["act-only", "warmup"])
+    def test_diverging_run_is_numeric_failure(self, workdir, tmp_path, capsys, extra):
+        """A non-finite loss stops training in the epoch it appears, whatever
+        the phase, and no checkpoint is written."""
+        path = tmp_path / "diverged.ckpt"
+        with np.errstate(all="ignore"):
+            rc = main(_train_args(workdir, path, lr="1e6", **extra))
+        assert rc == 3
+        assert capsys.readouterr().err == "numeric failure: non-finite loss at epoch 0\n"
+        assert not path.exists()
+
     def test_bad_set_syntax(self, capsys):
         assert main(["train", "--set", "epochs"]) == 1
 

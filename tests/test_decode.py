@@ -268,10 +268,16 @@ class TestGenerateTurn:
         assert result.act_attention is None
 
 
+def _ban_pad_sos(logits):
+    logits[[PAD_ID, SOS_ID]] = -np.inf
+    return logits
+
+
 def prefix_recompute_turn(model, turn, act_cfg, resp_cfg):
     """Generation by full-prefix passes: every step call reruns the decoder
     over its whole prefix, then the act and response decoders run again over
-    the winners to collect the act hidden states and the attention trace."""
+    the winners to collect the act hidden states and the attention trace.
+    Neither decoder may emit <pad> or <sos>."""
     with no_grad():
         batch = make_batch([turn], model.text_vocab, model.act_vocab,
                            model.ontology, model.cfg.max_seq_len)
@@ -279,7 +285,7 @@ def prefix_recompute_turn(model, turn, act_cfg, resp_cfg):
 
         def act_step(prefix):
             logits, _ = model.act_forward(dual, batch.belief, np.asarray([prefix]))
-            return logits.data[0, -1]
+            return _ban_pad_sos(logits.data[0, -1])
 
         act_hyp = beam_search(act_step, act_cfg, len(model.act_vocab))
         body = [t for t in act_hyp.tokens if t not in (SOS_ID, EOS_ID, PAD_ID)]
@@ -287,8 +293,8 @@ def prefix_recompute_turn(model, turn, act_cfg, resp_cfg):
         _, act_hidden = model.act_forward(dual, batch.belief, act_in)
 
         def resp_step(prefix):
-            return model.response_forward(dual, act_hidden, act_in != PAD_ID,
-                                          np.asarray([prefix])).data[0, -1]
+            return _ban_pad_sos(model.response_forward(
+                dual, act_hidden, act_in != PAD_ID, np.asarray([prefix])).data[0, -1])
 
         resp_hyp = beam_search(resp_step, resp_cfg, len(model.text_vocab))
         trace = AttentionTrace()
@@ -304,8 +310,7 @@ def prefix_recompute_turn(model, turn, act_cfg, resp_cfg):
 @pytest.mark.parametrize("beam_size", [1, 3])
 def test_generate_turn_matches_prefix_recompute(tiny_model, act_attention, beam_size):
     """The cached decoders give the tokens and the act attention of full
-    prefix passes. The untrained model runs both searches to max_len and, in
-    mean mode, emits <sos> inside its act sequences."""
+    prefix passes. The untrained model runs both searches to max_len."""
     model, turns = tiny_model
     for seed in (0, 1):
         m = CogenModel(model.cfg, model.text_vocab, model.act_vocab, model.ontology,
@@ -322,3 +327,17 @@ def test_generate_turn_matches_prefix_recompute(tiny_model, act_attention, beam_
             else:
                 assert result.act_attention.shape == attn.shape
                 assert np.allclose(result.act_attention, attn, atol=1e-5)
+
+
+@pytest.mark.parametrize("act_attention", ["dynamic", "mean"])
+def test_untrained_decoders_never_emit_pad_or_sos(tiny_model, act_attention):
+    """Untrained models, which give <sos> and <pad> real probability, still
+    emit them nowhere after the start token."""
+    model, turns = tiny_model
+    for seed in (0, 1):
+        m = CogenModel(model.cfg, model.text_vocab, model.act_vocab, model.ontology,
+                       act_attention=act_attention, seed=seed)
+        for turn in turns[:4]:
+            result = generate_turn(m, turn)
+            assert not {"<sos>", "<pad>"} & set(result.act_tokens[1:])
+            assert not {"<sos>", "<pad>"} & set(result.response_tokens)

@@ -8,6 +8,7 @@ from cogen.transformer import (AttentionTrace, TransformerConfig, cache_length,
                                init_block_params, init_decoder_params,
                                init_encoder_params, sinusoidal_positions,
                                transformer_block)
+from oracles import allow_matrix_decoder_step, allow_matrix_encode
 
 
 def _block(seed=0, d=8, d_ff=16, kv_dim=0):
@@ -40,77 +41,147 @@ class TestBlock:
     def test_output_shape(self):
         params = _block()
         x = Tensor(np.random.default_rng(1).standard_normal((2, 5, 8)))
-        allow = np.ones((2, 5, 5), dtype=bool)
-        out = transformer_block(params, "blk", x, x, allow, n_heads=2)
+        out = transformer_block(params, "blk", x, x, np.ones((2, 5), dtype=bool),
+                                n_heads=2)
         assert out.shape == (2, 5, 8)
 
     def test_attention_rows_sum_to_one(self):
         params = _block(2)
         x = Tensor(np.random.default_rng(3).standard_normal((1, 4, 8)))
-        allow = np.tril(np.ones((1, 4, 4), dtype=bool))
         trace = AttentionTrace()
-        transformer_block(params, "blk", x, x, allow, n_heads=2,
-                          trace=trace, trace_label="blk")
-        assert trace.entries[0][0] == "blk"
+        transformer_block(params, "blk", x, x, None, n_heads=2, causal=True, trace=trace)
+        label, w = trace.entries[0]
+        assert label == "blk"
         assert trace.rows_sum_to_one()
+        assert np.all(w[0][:, np.triu_indices(4, 1)[0], np.triu_indices(4, 1)[1]] == 0)
 
     def test_masked_keys_get_zero_weight(self):
         params = _block(4)
-        x = Tensor(np.random.default_rng(5).standard_normal((1, 4, 8)))
-        allow = np.ones((1, 4, 4), dtype=bool)
-        allow[:, :, 2] = False
-        allow[:, 2, 2] = True   # keep row 2 non-empty
+        x = Tensor(np.random.default_rng(5).standard_normal((2, 4, 8)))
+        key_mask = np.array([[True, True, False, True], [False, True, True, True]])
         trace = AttentionTrace()
-        transformer_block(params, "blk", x, x, allow, n_heads=2,
-                          trace=trace, trace_label="blk")
+        transformer_block(params, "blk", x, x, key_mask, n_heads=2, trace=trace)
         w = trace.entries[0][1]
-        assert np.all(w[0, :, [0, 1, 3], 2] < 1e-8)
+        assert np.all(w[0, :, :, 2] == 0) and np.all(w[1, :, :, 0] == 0)
+        assert np.all(w[0, :, :, [0, 1, 3]] > 0)
+        assert trace.rows_sum_to_one()
+
+    def test_causal_and_key_mask_combine(self):
+        params = _block(4)
+        x = Tensor(np.random.default_rng(5).standard_normal((1, 4, 8)))
+        trace = AttentionTrace()
+        transformer_block(params, "blk", x, x, np.array([[True, False, True, True]]),
+                          n_heads=2, causal=True, trace=trace)
+        allowed = np.tril(np.ones((4, 4), dtype=bool)) & [True, False, True, True]
+        w = trace.entries[0][1][0]
+        assert np.all(w[:, ~allowed] == 0) and np.all(w[:, allowed] > 0)
 
     def test_fully_masked_query_row_rejected(self):
+        """A batch row whose key mask holds no key leaves every query of it
+        with nothing to attend to."""
         params = _block(6)
-        x = Tensor(np.random.default_rng(6).standard_normal((1, 3, 8)))
-        allow = np.ones((1, 3, 3), dtype=bool)
-        allow[0, 1, :] = False
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 3, 8)))
+        key_mask = np.array([[True, False, True], [False, False, False]])
         with pytest.raises(ContractError):
-            transformer_block(params, "blk", x, x, allow, n_heads=2)
+            transformer_block(params, "blk", x, x, key_mask, n_heads=2)
 
     def test_mask_invariance_to_masked_key_content(self):
-        """Changing a masked-out key position must not change unmasked outputs."""
+        """Changing a masked-out key position changes no output at all."""
         params = _block(7)
         rng = np.random.default_rng(8)
         base = rng.standard_normal((1, 4, 8))
-        allow = np.ones((1, 4, 4), dtype=bool)
-        allow[:, :, 3] = False
-        allow[:, 3, 3] = True
-        kv = Tensor(base.copy())
+        key_mask = np.array([[True, True, True, False]])
         q = Tensor(rng.standard_normal((1, 4, 8)))
-        out1 = transformer_block(params, "blk", q, kv, allow, n_heads=2)
+        out1 = transformer_block(params, "blk", q, Tensor(base), key_mask, n_heads=2)
         changed = base.copy()
         changed[0, 3] += 10.0
-        out2 = transformer_block(params, "blk", q, Tensor(changed), allow, n_heads=2)
-        assert np.allclose(out1.data[:, :3], out2.data[:, :3], atol=1e-5)
+        out2 = transformer_block(params, "blk", q, Tensor(changed), key_mask, n_heads=2)
+        assert np.array_equal(out1.data, out2.data)
 
     def test_wide_kv_stream(self):
         params = _block(9, d=8, kv_dim=16)
         q = Tensor(np.random.default_rng(9).standard_normal((1, 3, 8)))
         kv = Tensor(np.random.default_rng(10).standard_normal((1, 5, 16)))
-        allow = np.ones((1, 3, 5), dtype=bool)
-        out = transformer_block(params, "blk", q, kv, allow, n_heads=2)
+        key_mask = np.array([[True, True, True, True, False]])
+        trace = AttentionTrace()
+        out = transformer_block(params, "blk", q, kv, key_mask, n_heads=2, trace=trace)
         assert out.shape == (1, 3, 8)
+        assert trace.entries[0][1].shape == (1, 2, 3, 5)
+        assert np.all(trace.entries[0][1][..., 4] == 0)
 
     def test_gradcheck_through_block(self):
-        with T.use_dtype(np.float64):
-            params = _block(11, d=4, d_ff=8)
-            x = Tensor(np.random.default_rng(12).standard_normal((1, 3, 4)),
-                       requires_grad=True)
-            allow = np.ones((1, 3, 3), dtype=bool)
+        for causal in (False, True):
+            with T.use_dtype(np.float64):
+                params = _block(11, d=4, d_ff=8)
+                x = Tensor(np.random.default_rng(12).standard_normal((1, 3, 4)),
+                           requires_grad=True)
+                key_mask = np.array([[True, False, True]])
 
-            def fn(x, *ps):
-                out = transformer_block(params, "blk", x, x, allow, n_heads=2)
-                return (out * out).sum()
+                def fn(x, *ps):
+                    out = transformer_block(params, "blk", x, x, key_mask, n_heads=2,
+                                            causal=causal)
+                    return (out * out).sum()
 
-            err = gradcheck(fn, [x] + list(params.values()))
-        assert err < 1e-4
+                err = gradcheck(fn, [x] + list(params.values()))
+            assert err < 1e-4, causal
+
+
+class TestAgainstAllowMatrices:
+    """Key masks give, on every key position, the outputs and gradients of
+    the [B, Sq, Sk] allow matrices they replaced, to the bit."""
+
+    def _encoder(self, seed):
+        cfg = TransformerConfig(n_layers=2, n_heads=2, d_model=8, max_seq_len=32)
+        rng = np.random.default_rng(seed)
+        params = {}
+        init_encoder_params(rng, params, "enc", cfg)
+        emb = rng.standard_normal((3, 7, 8)).astype(np.float32)
+        return cfg, params, emb
+
+    def _run(self, fn, params, keys):
+        """fn's hidden states on the key positions, and the parameter
+        gradients of a loss that reads only those positions."""
+        for p in params.values():
+            p.grad = None
+        h = fn()
+        (h * Tensor(keys[:, :, None].astype(np.float32)) * h).sum().backward()
+        return h.data[keys], {n: p.grad for n, p in params.items()}
+
+    @pytest.mark.parametrize("case", ["padded", "act-masked"])
+    def test_encoder(self, case):
+        cfg, params, emb = self._encoder(0 if case == "padded" else 1)
+        if case == "padded":      # trailing padding of three lengths
+            keys = np.arange(7)[None, :] < np.array([[7], [4], [2]])
+        else:                     # an inner span, like the current utterance
+            keys = np.zeros((3, 7), dtype=bool)
+            keys[0, 2:5] = keys[1, 0:1] = keys[2, 4:7] = True
+        new, new_grads = self._run(
+            lambda: encode(params, "enc", Tensor(emb), keys, cfg).hidden, params, keys)
+        old, old_grads = self._run(
+            lambda: allow_matrix_encode(params, "enc", Tensor(emb), keys, cfg), params, keys)
+        assert np.array_equal(new, old)
+        for name in params:
+            assert np.array_equal(new_grads[name], old_grads[name]), name
+
+    def test_cached_causal_decoder(self):
+        cfg = TransformerConfig(n_layers=2, n_heads=2, d_model=8, max_seq_len=32)
+        rng = np.random.default_rng(2)
+        params = {}
+        init_encoder_params(rng, params, "enc", cfg)
+        init_decoder_params(rng, params, "dec", cfg)
+        source_mask = np.arange(6)[None, :] < np.array([[6], [3]])
+        enc = encode(params, "enc", Tensor(rng.standard_normal((2, 6, 8))),
+                     source_mask, cfg)
+        prefix = rng.standard_normal((2, 6, 8)).astype(np.float32)
+        for chunks in ([6], [1, 1, 1, 1, 1, 1], [2, 3, 1]):
+            new_cache, old_cache, start = {}, {}, 0
+            for n in chunks:
+                x = Tensor(prefix[:, start:start + n])
+                new = decoder_step(params, "dec", x, enc, cfg, cache=new_cache)
+                old = allow_matrix_decoder_step(params, "dec", x, enc, cfg, cache=old_cache)
+                start += n
+                for a, b in zip(new, old):
+                    assert np.array_equal(a.data, b.data)
 
 
 class TestEncoder:
