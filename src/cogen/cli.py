@@ -255,7 +255,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        # non-finite values are caught as NumericError; numpy's warnings
+        # about them would only precede that one-line message
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,8 +5,8 @@ including the full joint loss at tiny dimensions.
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, gradcheck, matmul, softmax, layer_norm, concat, \
-    cross_entropy, embedding
+from .tensor import Tensor, attention, gradcheck, matmul, softmax, layer_norm, \
+    concat, cross_entropy, embedding
 
 PRIMITIVE_TOL = 1e-4
 END_TO_END_TOL = 1e-3
@@ -85,15 +85,36 @@ def _check_embedding(seed):
     return gradcheck(lambda t: (embedding(t, ids) * embedding(t, ids)).sum(), [table])
 
 
+def _check_attention(seed):
+    """The fused attention op over a batch of two rows: a masked key, with
+    and without a causal mask (query i is key i + 1), and keys and values
+    of batch 1 broadcast over the rows."""
+    rng = np.random.default_rng(seed)
+    keys = np.array([[True, True, True], [True, False, True]])[:, None, None, :]
+    causal = np.tri(2, 3, 1, dtype=bool)
+    worst = 0.0
+    for kv_batch, mask in ((2, keys), (2, keys & causal), (1, keys & causal)):
+        q = _rt(rng, 2, 2, 2, 3)
+        k, v = _rt(rng, kv_batch, 2, 3, 3), _rt(rng, kv_batch, 2, 3, 3)
+        r = Tensor(rng.standard_normal((2, 2, 2, 3)))
+
+        def fn(q, k, v):
+            out, _ = attention(q, k, v, 0.7, mask)
+            return (out * r).sum()
+
+        worst = max(worst, gradcheck(fn, [q, k, v]))
+    return worst
+
+
 def _check_transformer_block(seed, causal=False):
-    """One self-attention block over three positions, the middle one a
-    masked key."""
+    """One self-attention block over a batch of two rows of three
+    positions; the first row's middle key is masked."""
     from .transformer import init_block_params, transformer_block
     rng = np.random.default_rng(seed)
     params = {}
     init_block_params(rng, params, "blk", d_model=4, d_ff=8)
-    x = _rt(rng, 1, 3, 4)
-    key_mask = np.array([[True, False, True]])
+    x = _rt(rng, 2, 3, 4)
+    key_mask = np.array([[True, False, True], [True, True, True]])
 
     def fn(x, *ps):
         out = transformer_block(params, "blk", x, x, key_mask, n_heads=2, causal=causal)
@@ -149,6 +170,7 @@ REGISTRY = [
     ("concat-reshape", _check_concat_reshape, PRIMITIVE_TOL),
     ("softmax-cross-entropy", _check_cross_entropy, PRIMITIVE_TOL),
     ("embedding", _check_embedding, PRIMITIVE_TOL),
+    ("attention", _check_attention, PRIMITIVE_TOL),
     ("transformer-block", _check_transformer_block, PRIMITIVE_TOL),
     ("causal-block", lambda seed: _check_transformer_block(seed, causal=True),
      PRIMITIVE_TOL),

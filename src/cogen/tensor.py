@@ -2,8 +2,12 @@
 
 Values are stored as flat-compatible numpy arrays (row-major). Training runs in
 float32; gradient checking switches the default dtype to float64 via
-`use_dtype`. Gradients accumulate across backward() calls until explicitly
-zeroed.
+`use_dtype`. Leaf gradients accumulate across backward() calls until
+explicitly zeroed; backward() consumes the graph it walks, so each interior
+node's gradient and closure are freed once its own backward has run.
+
+Multi-head attention is one node (`attention`) with a hand-written backward
+that keeps only its inputs and the attention weights.
 """
 
 import contextlib
@@ -73,8 +77,10 @@ class Tensor:
     """N-d array node in the autodiff graph.
 
     `requires_grad` marks leaf parameters; interior nodes receive gradients
-    whenever any ancestor requires them. `grad` is lazily allocated by
-    backward().
+    whenever any ancestor requires them, and backward fns compute no
+    gradient for a parent outside the graph (a constant). `grad` is
+    allocated by backward() on its first write, as an owned C-contiguous
+    array.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -117,8 +123,10 @@ class Tensor:
         self.grad = None
 
     def _needs_graph(self) -> bool:
-        return _grad_enabled and (self.requires_grad or self._backward_fn is not None
-                                  or bool(self._parents))
+        """Whether gradients flow into this tensor: a parameter or an
+        interior node. Independent of no_grad(), which only stops recording,
+        so a graph recorded earlier still back-propagates inside it."""
+        return self.requires_grad or self._backward_fn is not None or bool(self._parents)
 
     # -- graph plumbing -------------------------------------------------------
 
@@ -131,11 +139,18 @@ class Tensor:
 
     def _accum(self, grad: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # owned, since later writes add in place; C order, since a layout
+            # kept from `grad` (often a transposed view) changes the rounding
+            # of the BLAS calls and reductions that read it later
+            self.grad = np.array(grad, dtype=self.data.dtype, order="C")
+        else:
+            self.grad += grad
 
     def backward(self):
-        """Populate grads of every tensor the loss depends on. Accumulative."""
+        """Populate the grads of every leaf the loss depends on. Accumulative
+        on leaves; consumes the graph: each interior node drops its grad,
+        closure and parents once its backward has run, so its arrays are
+        freed during the pass and the graph cannot be walked again."""
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -154,9 +169,14 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            node.grad = node._backward_fn = None
+            node._parents = ()
 
     # -- elementwise / arithmetic --------------------------------------------
 
@@ -170,8 +190,10 @@ class Tensor:
         a, b = self, other
 
         def bw(g):
-            a._accum(_unbroadcast(g, a.shape))
-            b._accum(_unbroadcast(g, b.shape))
+            if a._needs_graph():
+                a._accum(_unbroadcast(g, a.shape))
+            if b._needs_graph():
+                b._accum(_unbroadcast(g, b.shape))
 
         return self._record(out, (a, b), bw)
 
@@ -195,8 +217,10 @@ class Tensor:
         a, b = self, other
 
         def bw(g):
-            a._accum(_unbroadcast(g * b.data, a.shape))
-            b._accum(_unbroadcast(g * a.data, b.shape))
+            if a._needs_graph():
+                a._accum(_unbroadcast(g * b.data, a.shape))
+            if b._needs_graph():
+                b._accum(_unbroadcast(g * a.data, b.shape))
 
         return self._record(out, (a, b), bw)
 
@@ -246,10 +270,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accum(_unbroadcast(ga, a.shape))
-        b._accum(_unbroadcast(gb, b.shape))
+        if a._needs_graph():
+            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b._needs_graph():
+            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return a._record(out, (a, b), bw)
 
@@ -265,16 +289,10 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return tensors[0]._record(out, tuple(tensors), bw)
 
 
-def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax along `axis`.
-
-    `mask` (bool, broadcastable to x, True = keep) gives the False entries
-    weight exactly 0 and gradient 0; it is applied before the row max and
-    is not part of the graph. Every row must keep at least one entry.
-    """
-    data = x.data if mask is None else np.where(mask, x.data, -np.inf)
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along `axis`."""
     # ufunc reductions: the arithmetic of ndarray.max/.sum without their call overhead
-    shifted = data - np.maximum.reduce(data, axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / np.add.reduce(e, axis=axis, keepdims=True)
     out = Tensor(y)
@@ -284,6 +302,51 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
         x._accum(y * (g - dot))
 
     return x._record(out, (x,), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """softmax(q kᵀ · scale) v over the last two axes, as one node.
+
+    q: [B, H, Sq, dh]; k, v: [B or 1, H, Sk, dh], batch 1 broadcast over
+    q's batch. `mask` (bool, broadcastable to the [B, H, Sq, Sk] scores,
+    True = keep) gives the False keys weight exactly 0 and gradient 0;
+    every row must keep at least one key. Returns the output [B, H, Sq, dh]
+    and the weights [B, H, Sq, Sk], which backward reads: do not write to
+    them. The forward runs the softmax in place on one scores buffer;
+    backward keeps only the inputs and the weights.
+    """
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention: query width {q.shape} vs key width {k.shape}")
+    w = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    scale = w.dtype.type(scale)
+    w *= scale
+    if mask is not None:
+        np.copyto(w, -np.inf, where=~mask)
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    out = Tensor(np.matmul(w, v.data))
+
+    def bw(g):
+        # the numpy operations, in order, of the backward of the op chain
+        # matmul, scaling, softmax, matmul (tests/oracles.py:chain_attention),
+        # so that gradients equal the chain's bit for bit
+        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        if v._needs_graph():
+            v._accum(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape))
+        gw -= (gw * w).sum(axis=-1, keepdims=True)
+        gw *= w
+        gw *= scale
+        if q._needs_graph():
+            q._accum(np.matmul(gw, k.data))
+        if k._needs_graph():
+            gk = np.matmul(np.swapaxes(q.data, -1, -2), gw)
+            k._accum(np.swapaxes(_unbroadcast(gk, k.shape[:-2] + k.shape[:-3:-1]), -1, -2))
+
+    # with parents in this order, backward walks the graph, and so shared
+    # nodes sum their gradients, in the order the op chain gave
+    return q._record(out, (q, k, v), bw), w
 
 
 def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -397,7 +460,7 @@ class Adam:
 # -- gradient checking -------------------------------------------------------
 
 
-def gradcheck(fn, tensors: Sequence[Tensor], step: float = 1e-3) -> float:
+def gradcheck(fn, tensors: Sequence[Tensor], step: float = 1e-5) -> float:
     """Max relative error between backward() grads and central differences.
 
     `fn(*tensors)` must return a scalar Tensor. Run under use_dtype(np.float64)

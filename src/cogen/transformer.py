@@ -3,8 +3,9 @@ stack, causal decoder, and output projection.
 
 Layout conventions: activations are [batch, seq, d_model]. Attention takes a
 boolean key mask [batch or 1, k_len] (True = may be attended to) and a causal
-flag; both are applied inside the softmax, so no mask enters the autodiff
-graph. Blocks are pre-norm: x + Attn(LN(x)), then s + FFN(LN(s)).
+flag; both are applied inside the fused `tensor.attention` op, so no mask
+enters the autodiff graph. Blocks are pre-norm: x + Attn(LN(x)), then
+s + FFN(LN(s)).
 
 Incremental decoding passes a cache (a dict from block prefix to KVCache)
 through the same functions that teacher forcing calls without one.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, ContractError, concat, matmul, softmax, layer_norm
+from .tensor import Tensor, ContractError, attention, concat, matmul, layer_norm
 
 
 @dataclass
@@ -149,16 +150,15 @@ def transformer_block(params: dict, prefix: str, q: Tensor, kv: Tensor,
                 vh = concat([entry.v, vh], axis=2)
             entry.k, entry.v, entry.grows = kh, vh, kv is q
 
-    scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
     mask = None if key_mask is None else key_mask[:, None, None, :]
     if causal:
         sk = kh.shape[2]
         past = np.tri(sq, sk, sk - sq, dtype=bool)   # query i is key sk - sq + i
         mask = past if mask is None else mask & past
-    weights = softmax(scores, axis=-1, mask=mask)
+    mixed, weights = attention(qh, kh, vh, 1.0 / np.sqrt(dh), mask)
     if trace is not None:
-        trace.add(prefix, weights.data.copy())
-    mixed = matmul(weights, vh).transpose(0, 2, 1, 3).reshape(b, sq, d)
+        trace.add(prefix, weights)
+    mixed = mixed.transpose(0, 2, 1, 3).reshape(b, sq, d)
     s = q + matmul(mixed, params[f"{prefix}.wo"])
 
     sn = layer_norm(s, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"])

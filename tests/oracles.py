@@ -216,3 +216,30 @@ def allow_matrix_decoder_step(params, prefix, prev_emb, enc, cfg, cache=None):
     c = allow_matrix_block(params, f"{prefix}.cross", h, enc.hidden, allow,
                            cfg.n_heads, cache=cache)
     return h, c
+
+
+def masked_softmax(x, mask=None):
+    """The softmax node attention used before the fused op: mask applied
+    with np.where before the row max, outside the graph."""
+    import numpy as np
+    from cogen.tensor import Tensor
+
+    data = x.data if mask is None else np.where(mask, x.data, -np.inf)
+    shifted = data - np.maximum.reduce(data, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / np.add.reduce(e, axis=-1, keepdims=True)
+
+    def bw(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        x._accum(y * (g - dot))
+
+    return x._record(Tensor(y), (x,), bw)
+
+
+def chain_attention(q, k, v, scale, mask=None):
+    """tensor.attention as the op chain it replaced: matmul, transpose,
+    scaling, masked softmax, matmul. Returns (output, weights)."""
+    from cogen.tensor import matmul
+
+    weights = masked_softmax(matmul(q, k.transpose(0, 1, 3, 2)) * scale, mask)
+    return matmul(weights, v), weights.data

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cogen
 from cogen.cli import main
 from cogen.tensor import Tensor
 
@@ -210,6 +215,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == "numeric failure: non-finite loss at epoch 0\n"
         assert not path.exists()
 
+    def test_diverging_run_prints_one_line(self, workdir, tmp_path):
+        """Run as a user runs it, where no test harness captures numpy's
+        floating-point warnings: stderr holds only the failure line."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cogen.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cogen.cli"]
+            + _train_args(workdir, tmp_path / "diverged.ckpt", lr="1e6", mode="act_only"),
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 3
+        assert proc.stderr == "numeric failure: non-finite loss at epoch 0\n"
+
     def test_bad_set_syntax(self, capsys):
         assert main(["train", "--set", "epochs"]) == 1
 
@@ -218,7 +235,7 @@ class TestGradcheckCommand:
     def test_passes_and_prints_table(self, capsys):
         assert main(["gradcheck", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
-        assert "joint-loss" in out
+        assert "joint-loss" in out and "attention" in out
         assert "FAIL" not in out
 
     def test_corrupted_backward_detected(self, capsys, monkeypatch):

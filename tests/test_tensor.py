@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cogen import tensor as T
-from cogen.tensor import (Adam, ContractError, ShapeError, Tensor, concat,
+from cogen.tensor import (Adam, ContractError, ShapeError, Tensor, attention, concat,
                           cross_entropy, gradcheck, layer_norm, matmul, softmax)
+from oracles import chain_attention
 
 
 class TestMatmul:
@@ -167,6 +168,100 @@ class TestBackward:
         y = x * x
         (y + y).backward()
         assert x.grad == pytest.approx(8.0)
+
+
+    def test_interior_nodes_freed_leaves_keep_grads(self):
+        x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        w = Tensor([[0.3, 0.1], [-0.2, 0.4]], requires_grad=True)
+        c = Tensor.const([[2.0, 1.0]])
+        h = matmul(x, w)
+        y = softmax(h * c, axis=-1)
+        loss = (y * y).sum()
+        loss.backward()
+        for node in (h, y, loss):
+            assert node.grad is None and node._backward_fn is None
+            assert node._parents == ()
+        assert x.grad is not None and w.grad is not None
+
+    @pytest.mark.parametrize("op", ["add", "mul", "matmul"])
+    def test_constant_parent_gets_no_gradient(self, op):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        c = Tensor.const(np.full((2, 2), 3.0))
+        out = {"add": lambda: x + c, "mul": lambda: c * x,
+               "matmul": lambda: matmul(c, x)}[op]()
+        out.sum().backward()
+        assert c.grad is None
+        assert np.array_equal(x.grad, {"add": np.ones((2, 2)), "mul": c.data,
+                                       "matmul": np.full((2, 2), 6.0)}[op])
+
+    def test_recorded_graph_back_propagates_under_no_grad(self):
+        x = Tensor(np.array(2.0), requires_grad=True)
+        y = x * Tensor.const(3.0) + x
+        with T.no_grad():
+            y.backward()
+        assert x.grad == pytest.approx(4.0)
+
+    def test_first_write_owns_a_c_contiguous_copy(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.ones((2, 3), dtype=np.float32)
+        t._accum(g)
+        g[0, 0] = 7.0
+        assert np.array_equal(t.grad, np.ones((2, 3)))
+        u = Tensor(np.zeros((3, 2)), requires_grad=True)
+        transposed = np.arange(6, dtype=np.float32).reshape(2, 3).T
+        u._accum(transposed)
+        assert u.grad.flags.c_contiguous
+        assert np.array_equal(u.grad, transposed)
+
+
+class TestAttention:
+    """The fused op gives the outputs, weights and gradients of the op
+    chain it replaced, to the bit."""
+
+    def _heads(self, rng, b, s, layout):
+        """[b, 2, s, 4] heads; "split" is the layout a block's heads have,
+        a transposed view of a [b, s, 2, 4] array."""
+        x = rng.standard_normal((b, s, 2, 4)).astype(np.float32)
+        x = x.transpose(0, 2, 1, 3)
+        return Tensor(np.ascontiguousarray(x) if layout == "contiguous" else x,
+                      requires_grad=True)
+
+    def _run(self, fn, q, k, v, mask, r):
+        for t in (q, k, v):
+            t.grad = None
+        out, weights = fn(q, k, v, 0.5, mask)
+        b, _, sq, _ = out.shape
+        (out.transpose(0, 2, 1, 3).reshape(b, sq, 8) * r).sum().backward()
+        return out.data, weights, [t.grad for t in (q, k, v)]
+
+    @pytest.mark.parametrize("kv_batch", [3, 1])
+    @pytest.mark.parametrize("layout", ["split", "contiguous"])
+    @pytest.mark.parametrize("masking", ["none", "keys", "causal", "keys+causal-offset"])
+    def test_matches_op_chain(self, kv_batch, layout, masking):
+        rng = np.random.default_rng(kv_batch)
+        sq, sk = (3, 5) if masking == "keys+causal-offset" else (5, 5)
+        q = self._heads(rng, 3, sq, layout)
+        k, v = self._heads(rng, kv_batch, sk, layout), self._heads(rng, kv_batch, sk, layout)
+        keys = np.ones((3, sk), dtype=bool)
+        keys[0, 1] = keys[2, 3:] = False
+        mask = {"none": None, "keys": keys[:, None, None, :],
+                "causal": np.tri(sq, sk, sk - sq, dtype=bool),
+                "keys+causal-offset": keys[:, None, None, :]
+                & np.tri(sq, sk, sk - sq, dtype=bool)}[masking]
+        r = Tensor(rng.standard_normal((3, sq, 8)).astype(np.float32))
+        new = self._run(attention, q, k, v, mask, r)
+        old = self._run(chain_attention, q, k, v, mask, r)
+        assert np.array_equal(new[0], old[0])
+        assert np.array_equal(new[1], old[1])
+        for a, b in zip(new[2], old[2]):
+            assert np.array_equal(a, b)
+        if mask is not None:
+            assert np.all(new[1][~np.broadcast_to(mask, new[1].shape)] == 0)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.ones((1, 1, 2, 4))), Tensor(np.ones((1, 1, 2, 3))),
+                      Tensor(np.ones((1, 1, 2, 3))), 1.0)
 
 
 class TestAdam:
