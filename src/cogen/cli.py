@@ -15,8 +15,8 @@ from .acts import VocabularyError
 from .config import ConfigError, RunConfig
 from .corpus import (CorpusError, SynthSpec, expand_dialogue, synth_generate,
                      toy_ontology, write_dialogues)
-from .decode import export_trace, generate_turn
-from .evaluate import decode_configs, evaluate_model
+from .decode import decode_configs, export_trace, generate_turn
+from .evaluate import evaluate_model
 from .gradchecks import run_all
 from .metrics import write_report
 from .tensor import ContractError

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .files import atomic_write
 from .tensor import Tensor, no_grad, log_softmax_np
 from .transformer import AttentionTrace, gather_cache
@@ -35,6 +36,17 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
+
+
+def decode_configs(run: RunConfig) -> tuple:
+    """The act and response search settings of a run. Acts are short and
+    canonically merged, so trigram blocking stays off there."""
+    act_cfg = DecodeConfig(beam_size=run.beam_size, max_len=run.act_max_len,
+                           trigram_block=False, length_norm=run.length_norm)
+    resp_cfg = DecodeConfig(beam_size=run.beam_size, max_len=run.resp_max_len,
+                            trigram_block=run.trigram_block,
+                            length_norm=run.length_norm)
+    return act_cfg, resp_cfg
 
 
 def trigram_allowed(tokens, candidate) -> bool:
@@ -72,7 +84,7 @@ def _rank_key(cfg: DecodeConfig):
 
 @dataclass
 class Frontier:
-    """The argument of a batched step call: the live prefixes in row order,
+    """The argument of a step call: the live prefixes in row order,
     and for each the row it extends in `state`, which the previous call
     returned (None on the first call)."""
     prefixes: list
@@ -84,10 +96,8 @@ class Frontier:
 
 
 def beam_search(step_fn, cfg: DecodeConfig, vocab_size: int,
-                sos_id: int = SOS_ID, eos_id: int = EOS_ID,
-                batched: bool = False) -> Hypothesis:
-    """Beam search over `step_fn(prefix_tokens) -> logits[vocab_size]`, or,
-    with batched=True, over `step_fn(frontier) -> (logits [len(frontier),
+                sos_id: int = SOS_ID, eos_id: int = EOS_ID) -> Hypothesis:
+    """Beam search over `step_fn(frontier) -> (logits [len(frontier),
     vocab_size], state)`, one call per step for every live hypothesis.
 
     Hypotheses emitting the end token are finalized; search stops when all
@@ -97,13 +107,6 @@ def beam_search(step_fn, cfg: DecodeConfig, vocab_size: int,
     one (flagged truncated). Each hypothesis keeps as `cache` the state and
     row of the last step call that scored it.
     """
-    if not batched:
-        prefix_fn = step_fn
-
-        def step_fn(frontier):
-            return np.stack([np.asarray(prefix_fn(p), dtype=np.float64)
-                             for p in frontier.prefixes]), None
-
     alive = [Hypothesis(tokens=(sos_id,), score=0.0)]
     bans = [{}]                   # per live hypothesis, see extend_bans
     frontier = Frontier([alive[0].tokens], np.zeros(1, dtype=np.int64))
@@ -171,7 +174,7 @@ class StepState:
 
 
 def _incremental(forward):
-    """Batched step function around `forward(new_tokens, cache) -> (logits,
+    """Step function around `forward(new_tokens, cache) -> (logits,
     outputs)`, which runs a decoder over the tokens of each prefix past the
     state's length. <pad> and <sos> get no probability: the decoders never
     emit them after the start token."""
@@ -211,10 +214,10 @@ def generate_turn(model, turn, act_cfg: DecodeConfig | None = None,
                   resp_cfg: DecodeConfig | None = None) -> GenerationResult:
     """Two-pass generation: beam-decode the act sequence, then beam-decode
     the response attending to the act hidden states, which the act search's
-    cache already holds."""
-    # acts are short and canonically merged; trigram blocking stays off there
-    act_cfg = act_cfg or DecodeConfig(beam_size=2, max_len=30, trigram_block=False)
-    resp_cfg = resp_cfg or DecodeConfig(beam_size=2, max_len=80, trigram_block=True)
+    cache already holds. A config not given is the default run's
+    (decode_configs)."""
+    default_act, default_resp = decode_configs(RunConfig())
+    act_cfg, resp_cfg = act_cfg or default_act, resp_cfg or default_resp
     events = []
     with no_grad():
         batch = make_batch([turn], model.text_vocab, model.act_vocab,
@@ -226,7 +229,7 @@ def generate_turn(model, turn, act_cfg: DecodeConfig | None = None,
             return logits.data, hidden.data
 
         act_step = _incremental(act_forward)
-        act_hyp = beam_search(act_step, act_cfg, len(model.act_vocab), batched=True)
+        act_hyp = beam_search(act_step, act_cfg, len(model.act_vocab))
         act_in = act_hyp.tokens[:-1] if act_hyp.finished else act_hyp.tokens
         if len(act_in) == 1:
             events.append("empty-act-body")
@@ -243,7 +246,7 @@ def generate_turn(model, turn, act_cfg: DecodeConfig | None = None,
             return logits.data, weights.mean(axis=1)
 
         resp_step = _incremental(resp_forward)
-        resp_hyp = beam_search(resp_step, resp_cfg, len(model.text_vocab), batched=True)
+        resp_hyp = beam_search(resp_step, resp_cfg, len(model.text_vocab))
         resp_ids = [t for t in resp_hyp.tokens if t not in (SOS_ID, EOS_ID)]
         # the row of the last token, which the search scored but never fed
         attn = None

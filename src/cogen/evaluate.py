@@ -3,17 +3,8 @@ ablation/sweep harnesses.
 """
 
 from .config import RunConfig
-from .decode import DecodeConfig, generate_turn
+from .decode import decode_configs, generate_turn
 from .metrics import MetricsReport, evaluate_corpus
-
-
-def decode_configs(run: RunConfig):
-    act_cfg = DecodeConfig(beam_size=run.beam_size, max_len=run.act_max_len,
-                           trigram_block=False, length_norm=run.length_norm)
-    resp_cfg = DecodeConfig(beam_size=run.beam_size, max_len=run.resp_max_len,
-                            trigram_block=run.trigram_block,
-                            length_norm=run.length_norm)
-    return act_cfg, resp_cfg
 
 
 def decode_corpus(model, turns, run: RunConfig) -> list:

@@ -6,8 +6,9 @@ float32; gradient checking switches the default dtype to float64 via
 explicitly zeroed; backward() consumes the graph it walks, so each interior
 node's gradient and closure are freed once its own backward has run.
 
-Multi-head attention is one node (`attention`) with a hand-written backward
-that keeps only its inputs and the attention weights.
+Multi-head attention is one node (`attention`) over projected [B, S, d]
+streams: it splits and merges heads itself, and its hand-written backward
+keeps only its inputs and the attention weights.
 """
 
 import contextlib
@@ -284,65 +285,65 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     def bw(g):
         splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accum(piece)
+            if t._needs_graph():
+                t._accum(piece)
 
     return tensors[0]._record(out, tuple(tensors), bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`."""
-    # ufunc reductions: the arithmetic of ndarray.max/.sum without their call overhead
-    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.add.reduce(e, axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        x._accum(y * (g - dot))
-
-    return x._record(out, (x,), bw)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """softmax(q kᵀ · scale) v over the last two axes, as one node.
+    """Multi-head softmax(q kᵀ / sqrt(dh)) v over projected streams, as one node.
 
-    q: [B, H, Sq, dh]; k, v: [B or 1, H, Sk, dh], batch 1 broadcast over
-    q's batch. `mask` (bool, broadcastable to the [B, H, Sq, Sk] scores,
-    True = keep) gives the False keys weight exactly 0 and gradient 0;
-    every row must keep at least one key. Returns the output [B, H, Sq, dh]
-    and the weights [B, H, Sq, Sk], which backward reads: do not write to
-    them. The forward runs the softmax in place on one scores buffer;
-    backward keeps only the inputs and the weights.
+    q: [B, Sq, d]; k, v: [B or 1, Sk, d], batch 1 broadcast over q's batch.
+    Each stream splits, as a view, into n_heads heads of width d / n_heads.
+    `mask` (bool, broadcastable to the [B, H, Sq, Sk] scores, True = keep)
+    gives the False keys weight exactly 0 and gradient 0; every row must
+    keep at least one key. Returns the output [B, Sq, d], heads merged, and
+    the weights [B, H, Sq, Sk], which backward reads: do not write to them.
+    The forward runs the softmax in place on one scores buffer; backward
+    keeps only the inputs and the weights.
     """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention: query width {q.shape} vs key width {k.shape}")
-    w = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    scale = w.dtype.type(scale)
+    d = q.shape[-1]
+    if k.shape[-1] != d or v.shape[-1] != d:
+        raise ShapeError(f"attention: query width {q.shape} vs key {k.shape}, value {v.shape}")
+    dh = d // n_heads
+
+    def split(x):          # [b, s, d] -> [b, H, s, dh]
+        return x.reshape(x.shape[0], x.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):          # [b, H, s, dh] -> [b, s, d]
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    w = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    scale = w.dtype.type(1.0 / np.sqrt(dh))
     w *= scale
     if mask is not None:
         np.copyto(w, -np.inf, where=~mask)
     w -= np.maximum.reduce(w, axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
-    out = Tensor(np.matmul(w, v.data))
+    out = Tensor(merge(np.matmul(w, vh)))
 
     def bw(g):
         # the numpy operations, in order, of the backward of the op chain
-        # matmul, scaling, softmax, matmul (tests/oracles.py:chain_attention),
-        # so that gradients equal the chain's bit for bit
-        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        # split, matmul, scaling, softmax, matmul, merge
+        # (tests/oracles.py:chain_attention), so that gradients equal the
+        # chain's bit for bit; the chain's split gradient is C-ordered
+        g = np.ascontiguousarray(split(g))
+        gw = np.matmul(g, np.swapaxes(vh, -1, -2))
         if v._needs_graph():
-            v._accum(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape))
+            v._accum(merge(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), vh.shape)))
         gw -= (gw * w).sum(axis=-1, keepdims=True)
         gw *= w
         gw *= scale
         if q._needs_graph():
-            q._accum(np.matmul(gw, k.data))
+            q._accum(merge(np.matmul(gw, kh)))
         if k._needs_graph():
-            gk = np.matmul(np.swapaxes(q.data, -1, -2), gw)
-            k._accum(np.swapaxes(_unbroadcast(gk, k.shape[:-2] + k.shape[:-3:-1]), -1, -2))
+            gk = np.matmul(np.swapaxes(qh, -1, -2), gw)
+            k._accum(merge(np.swapaxes(
+                _unbroadcast(gk, kh.shape[:-2] + kh.shape[:-3:-1]), -1, -2)))
 
     # with parents in this order, backward walks the graph, and so shared
     # nodes sum their gradients, in the order the op chain gave
@@ -368,12 +369,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = Tensor(xhat * gain.data + bias.data)
 
     def bw(g):
-        gg = g * gain.data
-        gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        x._accum(gx.astype(x.data.dtype))
-        gain._accum(_unbroadcast(g * xhat, gain.shape))
-        bias._accum(_unbroadcast(g, bias.shape))
+        if x._needs_graph():
+            gg = g * gain.data
+            gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                        - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+            x._accum(gx.astype(x.data.dtype))
+        if gain._needs_graph():
+            gain._accum(_unbroadcast(g * xhat, gain.shape))
+        if bias._needs_graph():
+            bias._accum(_unbroadcast(g, bias.shape))
 
     return x._record(out, (x, gain, bias), bw)
 

@@ -67,6 +67,9 @@ def train(run: RunConfig, model: CogenModel, turns, opt=None,
     pipeline: encoder + act branch frozen (loaded via init_from), response
     branch trained with the response loss alone.
 
+    Only the parameters `opt` holds require gradients, so no backward pass
+    differentiates a frozen one.
+
     Epochs are numbered globally (warm-up included) so a run resumed from a
     checkpoint at `start_epoch` reproduces the single-run loss trace.
     """
@@ -76,6 +79,9 @@ def train(run: RunConfig, model: CogenModel, turns, opt=None,
             opt = Adam(model.subset(model.param_names("response")), lr=run.lr)
         else:
             opt = Adam(model.params, lr=run.lr)
+    trained = {id(p) for p in opt.params.values()}
+    for p in model.params.values():
+        p.requires_grad = id(p) in trained
     lines = []
 
     def emit(line):

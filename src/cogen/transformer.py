@@ -1,11 +1,12 @@
 """Transformer building blocks: multi-head attention + FFN blocks, encoder
 stack, causal decoder, and output projection.
 
-Layout conventions: activations are [batch, seq, d_model]. Attention takes a
-boolean key mask [batch or 1, k_len] (True = may be attended to) and a causal
-flag; both are applied inside the fused `tensor.attention` op, so no mask
-enters the autodiff graph. Blocks are pre-norm: x + Attn(LN(x)), then
-s + FFN(LN(s)).
+Layout conventions: activations, and the projected queries, keys and
+values, are [batch, seq, d_model]; only the fused `tensor.attention` op
+splits them into heads. Attention takes a boolean key mask [batch or 1,
+k_len] (True = may be attended to) and a causal flag; both are applied inside
+that op, so no mask enters the autodiff graph. Blocks are pre-norm:
+x + Attn(LN(x)), then s + FFN(LN(s)).
 
 Incremental decoding passes a cache (a dict from block prefix to KVCache)
 through the same functions that teacher forcing calls without one.
@@ -43,10 +44,11 @@ class EncoderOutput:
 
 @dataclass
 class KVCache:
-    """Attention keys and values [B, heads, T, d_head] of one block, kept
-    between incremental decoder calls. Self-attention appends each call's new
-    positions (`grows`); attention over a fixed stream (encoder or act states)
-    computes them on the first call and reuses them, with the stream's batch."""
+    """Projected attention keys and values [rows, positions, d_model] of one
+    block, kept between incremental decoder calls. Self-attention appends
+    each call's new positions (`grows`); attention over a fixed stream
+    (encoder or act states) computes them on the first call and reuses them,
+    with the stream's batch."""
     k: Tensor | None = None
     v: Tensor | None = None
     grows: bool = False
@@ -62,7 +64,7 @@ def gather_cache(cache: dict, rows) -> dict:
 def cache_length(cache: dict | None, prefix: str) -> int:
     """Positions decoder `prefix` has already consumed into `cache`."""
     entry = (cache or {}).get(f"{prefix}.self0")
-    return 0 if entry is None else entry.k.shape[2]
+    return 0 if entry is None else entry.k.shape[1]
 
 
 @dataclass
@@ -131,34 +133,28 @@ def transformer_block(params: dict, prefix: str, q: Tensor, kv: Tensor,
     """
     if key_mask is not None and not key_mask.any(axis=-1).all():
         raise ContractError("attention: every key masked")
-    b, sq, d = q.shape
-    dh = d // n_heads
-
     qn = layer_norm(q, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
-    qh = matmul(qn, params[f"{prefix}.wq"]).reshape(b, sq, n_heads, dh).transpose(0, 2, 1, 3)
     entry = None if cache is None else cache.setdefault(prefix, KVCache())
     if entry is not None and entry.k is not None and kv is not q:
-        kh, vh = entry.k, entry.v
+        k, v = entry.k, entry.v
     else:
         kvn = kv if kv is not q else qn
-        bk, sk = kvn.shape[:2]
-        kh = matmul(kvn, params[f"{prefix}.wk"]).reshape(bk, sk, n_heads, dh).transpose(0, 2, 1, 3)
-        vh = matmul(kvn, params[f"{prefix}.wv"]).reshape(bk, sk, n_heads, dh).transpose(0, 2, 1, 3)
+        k = matmul(kvn, params[f"{prefix}.wk"])
+        v = matmul(kvn, params[f"{prefix}.wv"])
         if entry is not None:
             if entry.k is not None:
-                kh = concat([entry.k, kh], axis=2)
-                vh = concat([entry.v, vh], axis=2)
-            entry.k, entry.v, entry.grows = kh, vh, kv is q
+                k = concat([entry.k, k], axis=1)
+                v = concat([entry.v, v], axis=1)
+            entry.k, entry.v, entry.grows = k, v, kv is q
 
     mask = None if key_mask is None else key_mask[:, None, None, :]
     if causal:
-        sk = kh.shape[2]
+        sq, sk = q.shape[1], k.shape[1]
         past = np.tri(sq, sk, sk - sq, dtype=bool)   # query i is key sk - sq + i
         mask = past if mask is None else mask & past
-    mixed, weights = attention(qh, kh, vh, 1.0 / np.sqrt(dh), mask)
+    mixed, weights = attention(matmul(qn, params[f"{prefix}.wq"]), k, v, n_heads, mask)
     if trace is not None:
         trace.add(prefix, weights)
-    mixed = mixed.transpose(0, 2, 1, 3).reshape(b, sq, d)
     s = q + matmul(mixed, params[f"{prefix}.wo"])
 
     sn = layer_norm(s, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"])

@@ -144,36 +144,31 @@ def allow_matrix_block(params, prefix, q, kv, allow, n_heads, cache=None):
     that the scores pass through. Same parameters, cache and layout as
     transformer.transformer_block."""
     import numpy as np
-    from cogen.tensor import ContractError, Tensor, concat, layer_norm, matmul, softmax
+    from cogen.tensor import ContractError, Tensor, concat, layer_norm, matmul
     from cogen.transformer import KVCache
 
     if not allow.any(axis=-1).all():
         raise ContractError("attention: query position with every key masked")
-    b, sq, d = q.shape
-    dh = d // n_heads
-
-    def heads(x, w):
-        bx, sx = x.shape[:2]
-        return matmul(x, params[f"{prefix}.{w}"]).reshape(
-            bx, sx, n_heads, dh).transpose(0, 2, 1, 3)
+    d = q.shape[-1]
 
     qn = layer_norm(q, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
-    qh = heads(qn, "wq")
+    qh = split_heads(matmul(qn, params[f"{prefix}.wq"]), n_heads)
     entry = None if cache is None else cache.setdefault(prefix, KVCache())
     if entry is not None and entry.k is not None and kv is not q:
-        kh, vh = entry.k, entry.v
+        k, v = entry.k, entry.v
     else:
         kvn = kv if kv is not q else qn
-        kh, vh = heads(kvn, "wk"), heads(kvn, "wv")
+        k, v = matmul(kvn, params[f"{prefix}.wk"]), matmul(kvn, params[f"{prefix}.wv"])
         if entry is not None:
             if entry.k is not None:
-                kh = concat([entry.k, kh], axis=2)
-                vh = concat([entry.v, vh], axis=2)
-            entry.k, entry.v, entry.grows = kh, vh, kv is q
-    scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+                k = concat([entry.k, k], axis=1)
+                v = concat([entry.v, v], axis=1)
+            entry.k, entry.v, entry.grows = k, v, kv is q
+    kh, vh = split_heads(k, n_heads), split_heads(v, n_heads)
+    scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d // n_heads))
     additive = np.where(allow[:, None, :, :], 0.0, -1e9).astype(scores.data.dtype)
-    weights = softmax(scores + Tensor.const(additive), axis=-1)
-    mixed = matmul(weights, vh).transpose(0, 2, 1, 3).reshape(b, sq, d)
+    weights = masked_softmax(scores + Tensor.const(additive))
+    mixed = merge_heads(matmul(weights, vh))
     s = q + matmul(mixed, params[f"{prefix}.wo"])
     sn = layer_norm(s, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"])
     ff = matmul(sn, params[f"{prefix}.ff_w1"]) + params[f"{prefix}.ff_b1"]
@@ -236,10 +231,37 @@ def masked_softmax(x, mask=None):
     return x._record(Tensor(y), (x,), bw)
 
 
-def chain_attention(q, k, v, scale, mask=None):
-    """tensor.attention as the op chain it replaced: matmul, transpose,
-    scaling, masked softmax, matmul. Returns (output, weights)."""
+def split_heads(x, n_heads):
+    """[B, S, d] -> [B, H, S, d / H] as reshape and transpose nodes."""
+    b, t, d = x.shape
+    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x):
+    """[B, H, S, dh] -> [B, S, H * dh] as transpose and reshape nodes."""
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def chain_attention(q, k, v, n_heads, mask=None):
+    """tensor.attention as the op chain it replaced: head split, matmul,
+    transpose, scaling, masked softmax, matmul, head merge. Returns
+    (output, weights)."""
+    import numpy as np
     from cogen.tensor import matmul
 
-    weights = masked_softmax(matmul(q, k.transpose(0, 1, 3, 2)) * scale, mask)
-    return matmul(weights, v), weights.data
+    qh, kh, vh = (split_heads(x, n_heads) for x in (q, k, v))
+    scale = 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    weights = masked_softmax(matmul(qh, kh.transpose(0, 1, 3, 2)) * scale, mask)
+    return merge_heads(matmul(weights, vh)), weights.data
+
+
+def per_prefix(fn):
+    """A beam_search step function around `fn(prefix) -> logits`: one call
+    per live prefix, no state."""
+    import numpy as np
+
+    def step(frontier):
+        return np.stack([np.asarray(fn(p), dtype=np.float64)
+                         for p in frontier.prefixes]), None
+    return step

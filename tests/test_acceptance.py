@@ -22,7 +22,7 @@ from cogen.metrics import bleu, combined_score, evaluate_corpus, write_report
 from cogen.model import uncertainty_loss
 from cogen.tensor import Adam, Tensor
 from cogen.training import build_model, load_data, train
-from oracles import exhaustive_decode, reference_bleu
+from oracles import exhaustive_decode, per_prefix, reference_bleu
 
 
 def test_criterion_01_gradient_suite(record):
@@ -126,7 +126,7 @@ def test_criterion_05_beam_oracle_and_trigrams(record, overfit_decodes):
 
         cfg = DecodeConfig(beam_size=vocab ** max_len, max_len=max_len,
                            trigram_block=True)
-        hyp = beam_search(step, cfg, vocab, sos_id=sos, eos_id=eos)
+        hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=sos, eos_id=eos)
         tokens, score, _ = exhaustive_decode(step, vocab, max_len, sos, eos,
                                              trigram_block=True)
         if hyp.tokens != tokens or abs(hyp.score - score) > 1e-9:

@@ -12,7 +12,7 @@ from cogen.decode import (DecodeConfig, beam_search, export_trace, extend_bans,
 from cogen.model import CogenModel
 from cogen.tensor import no_grad
 from cogen.transformer import AttentionTrace, TransformerConfig
-from oracles import exhaustive_decode, reference_beam_search
+from oracles import exhaustive_decode, per_prefix, reference_beam_search
 
 SOS, EOS = 1, 2
 
@@ -62,7 +62,7 @@ class TestBeamAgainstEnumeration:
             step = random_step_fn(seed, vocab)
             cfg = DecodeConfig(beam_size=vocab ** max_len, max_len=max_len,
                                trigram_block=False)
-            hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+            hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
             tokens, score, finished = exhaustive_decode(
                 step, vocab, max_len, SOS, EOS)
             assert hyp.tokens == tokens, f"seed {seed}"
@@ -75,7 +75,7 @@ class TestBeamAgainstEnumeration:
             step = random_step_fn(seed + 1000, vocab)
             cfg = DecodeConfig(beam_size=vocab ** max_len, max_len=max_len,
                                trigram_block=True)
-            hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+            hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
             tokens, score, _ = exhaustive_decode(
                 step, vocab, max_len, SOS, EOS, trigram_block=True)
             assert hyp.tokens == tokens, f"seed {seed}"
@@ -86,7 +86,7 @@ class TestBeamAgainstEnumeration:
         for seed in range(20):
             step = random_step_fn(seed + 77, vocab)
             cfg = DecodeConfig(beam_size=2, max_len=max_len, trigram_block=False)
-            hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+            hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
             if not hyp.finished:
                 continue   # a truncated prefix is not comparable to the optimum
             _, best, _ = exhaustive_decode(step, vocab, max_len, SOS, EOS)
@@ -116,7 +116,7 @@ class TestBeamAgainstReference:
                 return logits
             cfg = DecodeConfig(beam_size=beam_size, max_len=7,
                                trigram_block=trigram_block, length_norm=length_norm)
-            hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+            hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
             ref = reference_beam_search(step, vocab, beam_size, 7, SOS, EOS,
                                         trigram_block, length_norm)
             assert (hyp.tokens, hyp.score, hyp.finished, hyp.truncated) == ref, seed
@@ -127,7 +127,7 @@ class TestBeamBehaviour:
         vocab, max_len = 6, 8
         step = random_step_fn(5, vocab)
         cfg = DecodeConfig(beam_size=1, max_len=max_len, trigram_block=False)
-        hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+        hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
         tokens = (SOS,)
         for _ in range(max_len):
             tok = int(np.argmax(step(tokens)))
@@ -144,7 +144,7 @@ class TestBeamBehaviour:
             logits[3] = 5.0
             return logits
         cfg = DecodeConfig(beam_size=2, max_len=4, trigram_block=False)
-        hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+        hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
         assert hyp.truncated
         assert len(hyp.tokens) == 5
 
@@ -158,7 +158,7 @@ class TestBeamBehaviour:
                 logits[EOS] -= 6.0
                 return logits
             cfg = DecodeConfig(beam_size=2, max_len=12, trigram_block=True)
-            hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+            hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
             assert not has_repeated_trigram(hyp.tokens)
 
     def test_stalled_search_returns_best_prefix(self):
@@ -170,14 +170,14 @@ class TestBeamBehaviour:
             logits[0] = 5.0
             return logits
         cfg = DecodeConfig(beam_size=1, max_len=20, trigram_block=True)
-        hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+        hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
         assert hyp.tokens[0] == SOS
 
     def test_deterministic(self):
         step = random_step_fn(9, 5)
         cfg = DecodeConfig(beam_size=3, max_len=10, trigram_block=True)
-        a = beam_search(step, cfg, 5, sos_id=SOS, eos_id=EOS)
-        b = beam_search(step, cfg, 5, sos_id=SOS, eos_id=EOS)
+        a = beam_search(per_prefix(step), cfg, 5, sos_id=SOS, eos_id=EOS)
+        b = beam_search(per_prefix(step), cfg, 5, sos_id=SOS, eos_id=EOS)
         assert a.tokens == b.tokens and a.score == b.score
 
     def test_tie_breaks_to_lower_token_ids(self):
@@ -188,7 +188,7 @@ class TestBeamBehaviour:
                 logits[EOS] = 50.0   # finish everything at length 2
             return logits
         cfg = DecodeConfig(beam_size=vocab, max_len=3, trigram_block=False)
-        hyp = beam_search(step, cfg, vocab, sos_id=SOS, eos_id=EOS)
+        hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
         assert hyp.tokens == (SOS, 0, EOS)
 
     def test_length_norm_changes_ranking(self):
@@ -205,12 +205,12 @@ class TestBeamBehaviour:
             else:
                 logits[EOS] = 9.0
             return logits
-        raw = beam_search(step, DecodeConfig(beam_size=8, max_len=6,
-                                             trigram_block=False), vocab,
+        raw = beam_search(per_prefix(step), DecodeConfig(beam_size=8, max_len=6,
+                                                         trigram_block=False), vocab,
                           sos_id=SOS, eos_id=EOS)
-        norm = beam_search(step, DecodeConfig(beam_size=8, max_len=6,
-                                              trigram_block=False,
-                                              length_norm=True), vocab,
+        norm = beam_search(per_prefix(step), DecodeConfig(beam_size=8, max_len=6,
+                                                          trigram_block=False,
+                                                          length_norm=True), vocab,
                            sos_id=SOS, eos_id=EOS)
         assert len(norm.tokens) > len(raw.tokens)
 
@@ -287,7 +287,7 @@ def prefix_recompute_turn(model, turn, act_cfg, resp_cfg):
             logits, _ = model.act_forward(dual, batch.belief, np.asarray([prefix]))
             return _ban_pad_sos(logits.data[0, -1])
 
-        act_hyp = beam_search(act_step, act_cfg, len(model.act_vocab))
+        act_hyp = beam_search(per_prefix(act_step), act_cfg, len(model.act_vocab))
         body = [t for t in act_hyp.tokens if t not in (SOS_ID, EOS_ID, PAD_ID)]
         act_in = np.asarray([[SOS_ID] + body])
         _, act_hidden = model.act_forward(dual, batch.belief, act_in)
@@ -296,7 +296,7 @@ def prefix_recompute_turn(model, turn, act_cfg, resp_cfg):
             return _ban_pad_sos(model.response_forward(
                 dual, act_hidden, act_in != PAD_ID, np.asarray([prefix])).data[0, -1])
 
-        resp_hyp = beam_search(resp_step, resp_cfg, len(model.text_vocab))
+        resp_hyp = beam_search(per_prefix(resp_step), resp_cfg, len(model.text_vocab))
         trace = AttentionTrace()
         model.response_forward(dual, act_hidden, act_in != PAD_ID,
                                np.asarray([resp_hyp.tokens]), trace=trace)

@@ -5,8 +5,20 @@ import pytest
 
 from cogen import tensor as T
 from cogen.tensor import (Adam, ContractError, ShapeError, Tensor, attention, concat,
-                          cross_entropy, gradcheck, layer_norm, matmul, softmax)
+                          cross_entropy, gradcheck, layer_norm, matmul)
 from oracles import chain_attention
+
+
+def softmax(x: Tensor):
+    """Softmax over the last axis of `x` as the attention op computes it:
+    one head of width 1, a unit query and the keys x, so the scores are x
+    exactly. Returns the weights, shaped as x, and the output, whose values
+    are ones, so that each of its rows is the sum of that row's weights."""
+    sk = x.shape[-1]
+    rows = x.data.size // sk
+    out, weights = attention(Tensor(np.ones((rows, 1, 1))), x.reshape(rows, sk, 1),
+                             Tensor(np.ones((rows, sk, 1))), 1)
+    return weights.reshape(x.shape), out
 
 
 class TestMatmul:
@@ -33,27 +45,29 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    """The softmax inside the attention op."""
+
     def test_symmetry(self):
-        assert np.allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+        assert np.allclose(softmax(Tensor([0.0, 0.0]))[0], [0.5, 0.5])
 
     def test_analytic(self):
-        out = softmax(Tensor([math.log(2), 0.0]))
-        assert np.allclose(out.data, [2 / 3, 1 / 3])
+        weights, _ = softmax(Tensor([math.log(2), 0.0]))
+        assert np.allclose(weights, [2 / 3, 1 / 3])
 
     def test_against_extended_precision_oracle(self):
         # independent oracle: longdouble exponentials, no max-subtraction
         x = np.array([1.0, 2.0, 3.0])
         e = np.exp(x.astype(np.longdouble))
         expected = (e / e.sum()).astype(np.float64)
-        out = softmax(Tensor(x))
-        assert np.allclose(out.data, expected, atol=1e-6)
-        assert np.allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
+        weights, _ = softmax(Tensor(x))
+        assert np.allclose(weights, expected, atol=1e-6)
+        assert np.allclose(weights, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
     def test_sums_to_one_large_magnitude(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = Tensor(rng.uniform(-1e3, 1e3, size=(4, 7)))
-            assert np.allclose(softmax(x, axis=-1).data.sum(axis=-1), 1.0, atol=1e-6)
+            assert np.allclose(softmax(x)[0].sum(axis=-1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_ndarray_methods(self, dtype):
@@ -61,10 +75,9 @@ class TestSoftmax:
         for shape in [(4, 1, 32), (2, 2, 9, 9), (3, 5)]:
             with T.use_dtype(dtype):
                 x = Tensor(rng.standard_normal(shape) * 20)
-                for axis in (-1, 0):
-                    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-                    expected = e / e.sum(axis=axis, keepdims=True)
-                    assert np.array_equal(softmax(x, axis=axis).data, expected)
+                e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+                expected = e / e.sum(axis=-1, keepdims=True)
+                assert np.array_equal(softmax(x)[0], expected)
 
 
 class TestLayerNorm:
@@ -144,7 +157,7 @@ class TestBackward:
 
     def test_softmax_sum_has_zero_gradient(self):
         x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
-        softmax(x).sum().backward()
+        softmax(x)[1].sum().backward()
         assert np.allclose(x.grad, 0.0, atol=1e-7)
 
     def test_unreachable_tensor_gets_no_gradient(self):
@@ -175,7 +188,7 @@ class TestBackward:
         w = Tensor([[0.3, 0.1], [-0.2, 0.4]], requires_grad=True)
         c = Tensor.const([[2.0, 1.0]])
         h = matmul(x, w)
-        y = softmax(h * c, axis=-1)
+        y = (h * c).exp()
         loss = (y * y).sum()
         loss.backward()
         for node in (h, y, loss):
@@ -193,6 +206,15 @@ class TestBackward:
         assert c.grad is None
         assert np.array_equal(x.grad, {"add": np.ones((2, 2)), "mul": c.data,
                                        "matmul": np.full((2, 2), 6.0)}[op])
+
+    def test_constant_inputs_of_layer_norm_and_concat_get_no_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        c = Tensor.const(np.ones((2, 3)))
+        gain, bias = Tensor(np.ones(3), requires_grad=True), Tensor.const(np.zeros(3))
+        layer_norm(c, gain, bias).sum().backward()
+        (concat([x, c], axis=-1) * concat([c, x], axis=-1)).sum().backward()
+        assert c.grad is None and bias.grad is None
+        assert gain.grad is not None and np.array_equal(x.grad, 2 * np.ones((2, 3)))
 
     def test_recorded_graph_back_propagates_under_no_grad(self):
         x = Tensor(np.array(2.0), requires_grad=True)
@@ -216,22 +238,21 @@ class TestBackward:
 
 class TestAttention:
     """The fused op gives the outputs, weights and gradients of the op
-    chain it replaced, to the bit."""
+    chain it replaced (head split, attention per head, head merge), to the
+    bit."""
 
-    def _heads(self, rng, b, s, layout):
-        """[b, 2, s, 4] heads; "split" is the layout a block's heads have,
-        a transposed view of a [b, s, 2, 4] array."""
-        x = rng.standard_normal((b, s, 2, 4)).astype(np.float32)
-        x = x.transpose(0, 2, 1, 3)
-        return Tensor(np.ascontiguousarray(x) if layout == "contiguous" else x,
+    def _stream(self, rng, b, s, layout):
+        """A [b, s, 8] stream of two heads; "split" is a column slice of a
+        wider array, as a stream split from a fused projection would be."""
+        x = rng.standard_normal((b, s, 24)).astype(np.float32)[:, :, 8:16]
+        return Tensor(x if layout == "split" else np.ascontiguousarray(x),
                       requires_grad=True)
 
     def _run(self, fn, q, k, v, mask, r):
         for t in (q, k, v):
             t.grad = None
-        out, weights = fn(q, k, v, 0.5, mask)
-        b, _, sq, _ = out.shape
-        (out.transpose(0, 2, 1, 3).reshape(b, sq, 8) * r).sum().backward()
+        out, weights = fn(q, k, v, 2, mask)
+        (out * r).sum().backward()
         return out.data, weights, [t.grad for t in (q, k, v)]
 
     @pytest.mark.parametrize("kv_batch", [3, 1])
@@ -240,8 +261,8 @@ class TestAttention:
     def test_matches_op_chain(self, kv_batch, layout, masking):
         rng = np.random.default_rng(kv_batch)
         sq, sk = (3, 5) if masking == "keys+causal-offset" else (5, 5)
-        q = self._heads(rng, 3, sq, layout)
-        k, v = self._heads(rng, kv_batch, sk, layout), self._heads(rng, kv_batch, sk, layout)
+        q = self._stream(rng, 3, sq, layout)
+        k, v = self._stream(rng, kv_batch, sk, layout), self._stream(rng, kv_batch, sk, layout)
         keys = np.ones((3, sk), dtype=bool)
         keys[0, 1] = keys[2, 3:] = False
         mask = {"none": None, "keys": keys[:, None, None, :],
@@ -251,17 +272,19 @@ class TestAttention:
         r = Tensor(rng.standard_normal((3, sq, 8)).astype(np.float32))
         new = self._run(attention, q, k, v, mask, r)
         old = self._run(chain_attention, q, k, v, mask, r)
+        assert new[0].shape == (3, sq, 8) and new[1].shape == (3, 2, sq, sk)
         assert np.array_equal(new[0], old[0])
         assert np.array_equal(new[1], old[1])
-        for a, b in zip(new[2], old[2]):
+        for t, a, b in zip((q, k, v), new[2], old[2]):
+            assert a.shape == t.shape
             assert np.array_equal(a, b)
         if mask is not None:
             assert np.all(new[1][~np.broadcast_to(mask, new[1].shape)] == 0)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            attention(Tensor(np.ones((1, 1, 2, 4))), Tensor(np.ones((1, 1, 2, 3))),
-                      Tensor(np.ones((1, 1, 2, 3))), 1.0)
+            attention(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 3))),
+                      Tensor(np.ones((1, 2, 3))), 1)
 
 
 class TestAdam:
@@ -330,9 +353,9 @@ class TestMisc:
     def test_determinism_same_seed(self):
         def run():
             rng = np.random.default_rng(42)
-            a = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
-            b = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
-            out = softmax(matmul(a, b), axis=-1).sum()
+            a = Tensor(rng.standard_normal((2, 8, 8)), requires_grad=True)
+            b = Tensor(rng.standard_normal((2, 8, 8)), requires_grad=True)
+            out = attention(matmul(a, b), a, b, 2)[0].sum()
             out.backward()
             return out.data.copy(), a.grad.copy()
         (o1, g1), (o2, g2) = run(), run()
@@ -341,8 +364,9 @@ class TestMisc:
 
     def test_finite_after_forward_backward(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        out = softmax(layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))), axis=-1)
+        x = Tensor(rng.standard_normal((1, 4, 6)), requires_grad=True)
+        h = layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
+        out, _ = attention(h, h, h, 2)
         (out * out).sum().backward()
         assert np.isfinite(out.data).all()
         assert np.isfinite(x.grad).all()

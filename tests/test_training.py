@@ -62,7 +62,9 @@ class TestModes:
         for n, prev in before.items():
             assert np.array_equal(model.params[n].data, prev), n
 
-    def test_pipeline_freezes_act_branch(self, data_files, tmp_path):
+    def _pipeline(self, data_files, tmp_path):
+        """An act-only model and the pipeline run and model initialised
+        from its checkpoint."""
         act_run = _run(data_files, mode="act_only", epochs=2, warmup_epochs=0,
                        checkpoint=str(tmp_path / "act.ckpt"))
         ontology, turns, text_vocab, act_vocab = load_data(act_run)
@@ -73,6 +75,10 @@ class TestModes:
         pipe_run = _run(data_files, mode="pipeline", epochs=2, warmup_epochs=0,
                         init_from=str(tmp_path / "act.ckpt"))
         model = build_model(pipe_run, text_vocab, act_vocab, ontology)
+        return act_model, pipe_run, model, turns
+
+    def test_pipeline_freezes_act_branch(self, data_files, tmp_path):
+        act_model, pipe_run, model, turns = self._pipeline(data_files, tmp_path)
         # act branch starts from the act-only checkpoint
         for n in model.param_names("act"):
             assert np.array_equal(model.params[n].data,
@@ -81,6 +87,17 @@ class TestModes:
         train(pipe_run, model, turns)
         for n, prev in frozen.items():
             assert np.array_equal(model.params[n].data, prev), n
+
+    def test_pipeline_differentiates_no_frozen_param(self, data_files, tmp_path):
+        """Backward computes no gradient for what the pipeline optimizer
+        does not hold, so none piles up over the run."""
+        _, pipe_run, model, turns = self._pipeline(data_files, tmp_path)
+        opt, _, _ = train(pipe_run, model, turns)
+        assert set(opt.params) == set(model.param_names("response"))
+        for n in model.param_names("act"):
+            assert model.params[n].grad is None, n
+            assert not model.params[n].requires_grad, n
+        assert any(model.params[n].grad is not None for n in opt.params)
 
 
 class TestResume:

@@ -8,7 +8,7 @@ from cogen.transformer import (AttentionTrace, TransformerConfig, cache_length,
                                init_block_params, init_decoder_params,
                                init_encoder_params, sinusoidal_positions,
                                transformer_block)
-from oracles import allow_matrix_decoder_step, allow_matrix_encode
+from oracles import allow_matrix_block, allow_matrix_decoder_step, allow_matrix_encode
 
 
 def _block(seed=0, d=8, d_ff=16, kv_dim=0):
@@ -125,6 +125,35 @@ class TestBlock:
                 err = gradcheck(fn, [x] + list(params.values()))
             assert err < 1e-4, causal
 
+    def test_no_head_reshape_nodes(self):
+        """A block's graph holds no reshape or transpose node: the fused op
+        splits and merges heads itself. The reference block, which splits
+        them with graph nodes, shows that the walk finds such nodes."""
+        def backward_fns(out):
+            names, stack, seen = [], [out], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    if node._backward_fn is not None:
+                        names.append(node._backward_fn.__qualname__)
+                    stack.extend(node._parents)
+            return names
+
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
+        kv = Tensor(rng.standard_normal((1, 3, 16)), requires_grad=True)
+        shape_ops = ("Tensor.reshape.", "Tensor.transpose.")
+        for stream in (x, kv):
+            params = _block(13, kv_dim=stream.shape[-1])
+            new = backward_fns(transformer_block(params, "blk", x, stream, None,
+                                                 n_heads=2, causal=stream is x))
+            allow = np.ones((2, 4, stream.shape[1]), dtype=bool)
+            old = backward_fns(allow_matrix_block(params, "blk", x, stream, allow, 2))
+            assert any(name.startswith(shape_ops) for name in old)
+            assert not any(name.startswith(shape_ops) for name in new)
+            assert sum(name.startswith("attention.") for name in new) == 1
+
 
 class TestAgainstAllowMatrices:
     """Key masks give, on every key position, the outputs and gradients of
@@ -238,6 +267,8 @@ class TestDecoder:
                 cs.append(c.data)
                 start += n
             assert cache_length(cache, "dec") == 5
+            assert cache["dec.self0"].k.shape == cache["dec.self0"].v.shape == (1, 5, 8)
+            assert cache["dec.cross"].k.shape == (1, 5, 8)
             assert np.allclose(np.concatenate(hs, axis=1), h_full.data, atol=1e-5)
             assert np.allclose(np.concatenate(cs, axis=1), c_full.data, atol=1e-5)
 
