@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acts import ActTriple, Ontology, SOS, EOS, canonicalize
+from .files import atomic_write
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED = ["<pad>", SOS, EOS, "<unk>"]
@@ -93,9 +94,8 @@ def read_dialogues(path) -> list:
 
 
 def write_dialogues(path, dialogues: list):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(dialogues, f, indent=1, sort_keys=True)
-        f.write("\n")
+    """Write the corpus as indented JSON, replacing `path` whole or not at all."""
+    atomic_write(path, json.dumps(dialogues, indent=1, sort_keys=True) + "\n")
 
 
 def _require(cond, dialogue_id, path):

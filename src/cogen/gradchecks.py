@@ -119,7 +119,10 @@ def _check_transformer_block(seed, causal=False):
 
 
 def _check_joint_loss(seed):
-    """Full co-generation forward + uncertainty loss at tiny dimensions."""
+    """Full co-generation forward + uncertainty loss at tiny dimensions, over
+    two rows with different act-key counts: a first turn whose act keys are
+    its whole source, and a turn with a non-key prefix, so the act pass
+    gathers positions and has a padded slot."""
     from .transformer import TransformerConfig
     from .model import CogenModel, sequence_loss, uncertainty_loss
     from .corpus import Vocab, Batch, RESERVED
@@ -134,12 +137,12 @@ def _check_joint_loss(seed):
     for p in model.params.values():
         p.data = np.asarray(rng.standard_normal(p.shape) * 0.3)
     batch = Batch(
-        turns=[None], src=np.array([[4, 5, 4]]),
-        src_mask=np.ones((1, 3), dtype=bool),
-        act_key_mask=np.array([[False, True, True]]),
-        belief=rng.standard_normal((1, 1 * (2 + 4))),
-        act_in=np.array([[1, 4, 5]]), act_tg=np.array([[4, 5, 2]]),
-        resp_in=np.array([[1, 4, 5]]), resp_tg=np.array([[4, 5, 2]]))
+        turns=[None, None], src=np.array([[5, 4, 5], [4, 5, 4]]),
+        src_mask=np.ones((2, 3), dtype=bool),
+        act_key_mask=np.array([[True, True, True], [False, True, True]]),
+        belief=rng.standard_normal((2, 1 * (2 + 4))),
+        act_in=np.array([[1, 5, 4], [1, 4, 5]]), act_tg=np.array([[5, 4, 2], [4, 5, 2]]),
+        resp_in=np.array([[1, 5, 4], [1, 4, 5]]), resp_tg=np.array([[5, 4, 2], [4, 5, 2]]))
 
     def fn(*ps):
         dual = model.encode_shared(batch)

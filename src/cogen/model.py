@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, ContractError, concat, cross_entropy, matmul
+from .tensor import Tensor, ContractError, concat, cross_entropy, embedding, matmul
 from .transformer import (TransformerConfig, EncoderOutput, AttentionTrace,
                           cache_length, encode, decoder_step, output_projection,
                           transformer_block, init_encoder_params,
@@ -21,8 +21,10 @@ from .config import ConfigError
 
 @dataclass
 class DualEncoding:
-    enc_act: EncoderOutput    # keys: current utterance + db tokens
-    enc_resp: EncoderOutput   # keys: full history + db tokens
+    # the current utterance and db tokens only, gathered in source order:
+    # [B, K] with K the batch's largest count, a row's padded slots masked
+    enc_act: EncoderOutput
+    enc_resp: EncoderOutput   # the whole source: full history + db tokens
 
 
 class CogenModel:
@@ -94,23 +96,33 @@ class CogenModel:
             self._pos_cache[key] = sinusoidal_positions(n, self.cfg.d_model)
         return self._pos_cache[key]
 
-    def _embed(self, table: Tensor, ids: np.ndarray, offset: int = 0) -> Tensor:
-        """Scaled token embeddings plus the encodings of positions
-        offset, offset + 1, ..."""
-        from .tensor import embedding
-        d = self.cfg.d_model
-        e = embedding(table, ids) * float(np.sqrt(d))
-        return e + Tensor.const(self._positions(offset + ids.shape[-1])[offset:])
+    def _embed(self, table: Tensor, ids: np.ndarray, positions: np.ndarray) -> Tensor:
+        """Scaled token embeddings plus the encodings of `positions`, each
+        token's index in its source or prefix (broadcast against ids)."""
+        e = embedding(table, ids) * float(np.sqrt(self.cfg.d_model))
+        return e + Tensor.const(self._positions(int(positions.max()) + 1)[positions])
 
     # -- forward passes -------------------------------------------------------
 
     def encode_shared(self, batch: Batch) -> DualEncoding:
-        """One parameter set, two masked passes over the same source."""
+        """One parameter set, two passes over the same source: the response
+        pass over every position, the act pass over each row's act keys
+        only (current utterance and db tokens, in source order, with the
+        encodings of their source positions). A position outside the act
+        keys is never a key of the act pass, so leaving it out changes no
+        key position's output beyond rounding."""
         act_keys = batch.act_key_mask & batch.src_mask
-        if not act_keys.any(axis=-1).all():
+        counts = act_keys.sum(axis=-1)
+        if not counts.all():
             raise ContractError("encode_shared: a turn has an empty current utterance")
-        emb = self._embed(self.params["emb.src"], batch.src)
-        enc_act = encode(self.params, "enc", emb, act_keys, self.cfg)
+        # key positions first, in order; a shorter row's slots past its
+        # count hold other positions, masked as keys
+        pos = np.argsort(~act_keys, axis=-1, kind="stable")[:, :counts.max()]
+        compact = np.arange(pos.shape[1]) < counts[:, None]
+        table = self.params["emb.src"]
+        act_emb = self._embed(table, np.take_along_axis(batch.src, pos, axis=-1), pos)
+        enc_act = encode(self.params, "enc", act_emb, compact, self.cfg)
+        emb = self._embed(table, batch.src, np.arange(batch.src.shape[1]))
         enc_resp = encode(self.params, "enc", emb, batch.src_mask, self.cfg)
         return DualEncoding(enc_act=enc_act, enc_resp=enc_resp)
 
@@ -125,7 +137,8 @@ class CogenModel:
         """
         if np.any(act_in >= len(self.act_vocab)):
             raise IndexError("act_forward: token id outside act vocabulary")
-        u = self._embed(self.params["emb.act"], act_in, cache_length(cache, "actdec"))
+        t0 = cache_length(cache, "actdec")
+        u = self._embed(self.params["emb.act"], act_in, np.arange(t0, t0 + act_in.shape[1]))
         proj = matmul(Tensor.const(belief.astype(T.default_dtype())),
                       self.params["w_belief"])
         u = u + proj.reshape(proj.shape[0], 1, proj.shape[1])
@@ -144,7 +157,8 @@ class CogenModel:
         keys and values of the act hidden states."""
         if act_hidden.shape[1] == 0:
             raise ContractError("response_forward: empty act hidden states")
-        e = self._embed(self.params["emb.src"], resp_in, cache_length(cache, "respdec"))
+        t0 = cache_length(cache, "respdec")
+        e = self._embed(self.params["emb.src"], resp_in, np.arange(t0, t0 + resp_in.shape[1]))
         h, c = decoder_step(self.params, "respdec", e, dual.enc_resp, self.cfg,
                             trace=trace, cache=cache)
         if self.act_attention == "dynamic":

@@ -176,8 +176,10 @@ def encode(params: dict, prefix: str, emb: Tensor, key_mask: np.ndarray,
 
     emb: [B, S, d] embeddings (position encodings included by the caller).
     key_mask: [B, S] bool; masked positions are excluded as keys everywhere.
-    Their own outputs are computed too, but only as queries, so nothing
-    downstream may read them as keys (EncoderOutput.source_mask).
+    They are padding: a source's pad tokens, or the slots past a shorter
+    row's act keys in the compacted act pass (model.encode_shared). Their
+    outputs are computed too, but only as queries, so nothing downstream may
+    read them as keys (EncoderOutput.source_mask).
     """
     h = emb
     for i in range(cfg.n_layers):

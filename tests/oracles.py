@@ -265,3 +265,19 @@ def per_prefix(fn):
         return np.stack([np.asarray(fn(p), dtype=np.float64)
                          for p in frontier.prefixes]), None
     return step
+
+
+def masked_encode_shared(model, batch):
+    """CogenModel.encode_shared as it was before the act pass was compacted:
+    one embedding of the source, and both passes over every position, the
+    act pass with the positions outside its keys masked. Returns a
+    DualEncoding whose enc_act is [B, S, d] with the act key mask."""
+    import numpy as np
+    from cogen.model import DualEncoding
+    from cogen.transformer import encode
+
+    act_keys = batch.act_key_mask & batch.src_mask
+    emb = model._embed(model.params["emb.src"], batch.src, np.arange(batch.src.shape[1]))
+    return DualEncoding(enc_act=encode(model.params, "enc", emb, act_keys, model.cfg),
+                        enc_resp=encode(model.params, "enc", emb, batch.src_mask, model.cfg))
+

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -229,3 +230,36 @@ class TestSynth:
         path = tmp_path / "corpus.json"
         write_dialogues(path, dialogues)
         assert len(load_corpus(path)) == len(turns)
+
+    def test_write_gives_the_bytes_of_a_streamed_dump(self, tmp_path, synth):
+        dialogues = synth[0] + [{"id": "ünïcode", "turns": []}]
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w", encoding="utf-8") as f:
+            json.dump(dialogues, f, indent=1, sort_keys=True)
+            f.write("\n")
+        write_dialogues(tmp_path / "corpus.json", dialogues)
+        assert (tmp_path / "corpus.json").read_bytes() == streamed.read_bytes()
+
+    def test_failed_write_leaves_previous_file(self, tmp_path, synth, monkeypatch):
+        """A write that fails after serialising, at the rename, leaves the
+        previous corpus in place and no temporary file beside it."""
+        path = tmp_path / "corpus.json"
+        write_dialogues(path, synth[0][:3])
+        before = path.read_bytes()
+
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            write_dialogues(path, synth[0])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+
+    def test_written_file_mode_follows_umask(self, tmp_path, synth):
+        old = os.umask(0o027)
+        try:
+            write_dialogues(tmp_path / "corpus.json", synth[0][:1])
+        finally:
+            os.umask(old)
+        assert (tmp_path / "corpus.json").stat().st_mode & 0o777 == 0o640

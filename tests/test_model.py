@@ -8,8 +8,9 @@ from cogen.corpus import (PAD_ID, RESERVED, SynthSpec, build_vocab,
 from cogen.model import (CogenModel, ConfigError, LossMode, act_only_step,
                          combine_losses, sequence_loss, train_step,
                          uncertainty_loss, weighted_sum_loss)
-from cogen.tensor import Adam, ContractError, Tensor
+from cogen.tensor import Adam, ContractError, Tensor, use_dtype
 from cogen.transformer import TransformerConfig
+from oracles import masked_encode_shared
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +62,21 @@ class TestParamGroups:
 
 class TestDualEncoding:
     def test_shapes(self, world):
+        """The response pass is [B, S, d]; the act pass holds each row's act
+        keys only: [B, K, d] with K the largest key count, and a compact mask
+        whose row i is counts[i] Trues, then Falses."""
         model = _model(world)
-        batch = _batch(world)
+        batch = _batch(world, 4)
         dual = model.encode_shared(batch)
-        assert dual.enc_act.hidden.shape == dual.enc_resp.hidden.shape
+        counts = (batch.act_key_mask & batch.src_mask).sum(axis=-1)
+        assert len(set(counts)) > 1
+        b, s = batch.src.shape
+        d = model.cfg.d_model
+        assert dual.enc_resp.hidden.shape == (b, s, d)
+        assert np.array_equal(dual.enc_resp.source_mask, batch.src_mask)
+        assert dual.enc_act.hidden.shape == (b, counts.max(), d)
+        assert np.array_equal(dual.enc_act.source_mask,
+                              np.arange(counts.max()) < counts[:, None])
 
     def test_masks_differ_for_multi_turn_history(self, world):
         batch = _batch(world, 4)
@@ -88,6 +100,48 @@ class TestDualEncoding:
         batch.act_key_mask[:] = False
         with pytest.raises(ContractError):
             model.encode_shared(batch)
+
+
+class TestCompactActPass:
+    """The act pass over gathered key positions against the masked pass over
+    every position that it replaced (oracles.masked_encode_shared): the
+    outputs at the key positions, the joint loss's act logits and every
+    parameter gradient agree to rounding."""
+
+    def _run(self, world, encode_shared, dtype):
+        ontology, turns, text_vocab, act_vocab = world
+        with use_dtype(dtype):
+            cfg = TransformerConfig(n_layers=2, n_heads=2, d_model=8, max_seq_len=128)
+            model = CogenModel(cfg, text_vocab, act_vocab, ontology, seed=4)
+            batch = _batch(world, 6)
+            dual = encode_shared(model, batch)
+            act_logits, act_hidden = model.act_forward(dual, batch.belief, batch.act_in)
+            resp_logits = model.response_forward(dual, act_hidden, batch.act_in != PAD_ID,
+                                                  batch.resp_in)
+            loss = combine_losses(model, sequence_loss(act_logits, batch.act_tg),
+                                  sequence_loss(resp_logits, batch.resp_tg),
+                                  LossMode.parse("uncertainty"))
+            loss.backward()
+        enc = dual.enc_act
+        keys = enc.hidden.data[enc.source_mask]
+        return keys, act_logits.data, {n: p.grad for n, p in model.params.items()}
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    def test_matches_masked_pass(self, world, dtype, tol):
+        counts = _batch(world, 6).act_key_mask.sum(axis=-1)
+        assert len(set(counts)) > 1
+        keys, logits, grads = self._run(world, CogenModel.encode_shared, dtype)
+        ref_keys, ref_logits, ref_grads = self._run(world, masked_encode_shared, dtype)
+
+        def err(a, b):
+            return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+        assert keys.shape == ref_keys.shape
+        assert err(keys, ref_keys) < tol
+        assert err(logits, ref_logits) < tol
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype and err(g, ref_grads[name]) < tol, name
 
 
 class TestForward:
@@ -151,9 +205,12 @@ class TestLosses:
         dual = model.encode_shared(batch)
         logits, _ = model.act_forward(dual, batch.belief, batch.act_in)
         loss = sequence_loss(logits, batch.act_tg)
-        # padding target columns further should not change the mean
-        trimmed = sequence_loss(logits, batch.act_tg)
-        assert loss.item() == pytest.approx(trimmed.item())
+        # further PAD target columns, whatever their logits, leave the mean
+        b, _, v = logits.shape
+        extra = np.random.default_rng(0).standard_normal((b, 3, v)) * 10
+        padded = sequence_loss(Tensor(np.concatenate([logits.data, extra], axis=1)),
+                               np.concatenate([batch.act_tg, np.full((b, 3), PAD_ID)], axis=1))
+        assert padded.item() == pytest.approx(loss.item(), rel=1e-6)
         assert loss.item() > 0
 
     def test_sequence_loss_all_pad_rejected(self):
