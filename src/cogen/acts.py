@@ -9,13 +9,16 @@ suffixing "#domain" / "#action" / "#slot" at load time.
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .config import DataError
+from .files import atomic_write
+
 SOS = "<sos>"
 EOS = "<eos>"
 
 LEVELS = ("domain", "action", "slot")
 
 
-class VocabularyError(KeyError):
+class VocabularyError(DataError):
     """Raised for tokens outside the closed ontology."""
 
 
@@ -57,28 +60,32 @@ class Ontology:
     def load(cls, path) -> "Ontology":
         sections = {"domains": [], "actions": [], "slots": []}
         current = None
-        with open(path, encoding="utf-8") as f:
-            for raw in f:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("[") and line.endswith("]"):
-                    current = line[1:-1]
-                    if current not in sections:
-                        raise VocabularyError(f"unknown ontology section {current!r}")
-                    continue
-                if current is None:
-                    raise VocabularyError(f"ontology token {line!r} before any section")
-                sections[current].append(line.lower())
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise VocabularyError(f"{path}: ontology is not UTF-8 text ({e})") from None
+        for raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                current = line[1:-1]
+                if current not in sections:
+                    raise VocabularyError(f"unknown ontology section {current!r}")
+                continue
+            if current is None:
+                raise VocabularyError(f"ontology token {line!r} before any section")
+            sections[current].append(line.lower())
         return cls(sections["domains"], sections["actions"], sections["slots"])
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for name, toks in (("domains", self.domains), ("actions", self.actions),
-                               ("slots", self.slots)):
-                f.write(f"[{name}]\n")
-                for t in toks:
-                    f.write(t + "\n")
+        """Write the ontology file, replacing `path` whole or not at all."""
+        text = ""
+        for name, toks in (("domains", self.domains), ("actions", self.actions),
+                           ("slots", self.slots)):
+            text += f"[{name}]\n" + "".join(t + "\n" for t in toks)
+        atomic_write(path, text)
 
     def level_of(self, token: str):
         return self._level.get(token)

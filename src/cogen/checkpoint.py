@@ -11,6 +11,7 @@ import struct
 import numpy as np
 
 from .acts import Ontology
+from .config import DataError
 from .corpus import Vocab
 from .files import atomic_write
 from .transformer import TransformerConfig
@@ -21,7 +22,7 @@ MAGIC = b"COGENCK1"
 VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     pass
 
 
@@ -139,6 +140,7 @@ def _load(f):
                        Vocab(header["act_vocab"]), ontology,
                        act_attention=header["act_attention"])
     (n_params,) = _unpack(f, "<I")
+    loaded = set()
     for _ in range(n_params):
         name = _read_bytes(f).decode()
         (ndim,) = _unpack(f, "<B")
@@ -151,6 +153,10 @@ def _load(f):
                 f"parameter {name!r} shape {shape} vs model "
                 f"{model.params[name].shape}")
         model.params[name].data = arr.copy()
+        loaded.add(name)
+    missing = sorted(model.params.keys() - loaded)
+    if missing:
+        raise CheckpointError(f"missing parameter(s) {', '.join(missing)}")
     (has_opt,) = _unpack(f, "<B")
     opt = None
     if has_opt:

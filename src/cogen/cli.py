@@ -4,17 +4,15 @@ Exit codes: 0 ok, 1 usage/config error, 2 data error, 3 numeric failure.
 """
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .acts import VocabularyError
-from .config import ConfigError, RunConfig
-from .corpus import (CorpusError, SynthSpec, expand_dialogue, synth_generate,
-                     toy_ontology, write_dialogues)
+from .config import ConfigError, DataError, RunConfig
+from .corpus import (SynthSpec, load_corpus, synth_generate, toy_ontology,
+                     write_dialogues)
 from .decode import decode_configs, export_trace, generate_turn
 from .evaluate import evaluate_model
 from .gradchecks import run_all
@@ -146,22 +144,19 @@ def cmd_eval(args) -> int:
 def cmd_generate(args) -> int:
     run = _resolve(args)
     model, _, _ = ckpt.load(args.checkpoint)
-    with open(args.input, encoding="utf-8") as f:
-        dialogues = json.load(f)
     act_cfg, resp_cfg = decode_configs(run)
-    for dlg in dialogues:
-        for turn in expand_dialogue(dlg):
-            result = generate_turn(model, turn, act_cfg, resp_cfg)
-            print(f"# {turn.dialogue_id} turn {turn.turn_index}")
-            print("acts:     " + " ".join(result.act_tokens))
-            print("response: " + " ".join(result.response_tokens))
-            for event in result.events:
-                print(f"event:    {event}")
-            if args.trace_dir and result.act_attention is not None:
-                path = os.path.join(
-                    args.trace_dir, f"{turn.dialogue_id}_{turn.turn_index}.trace.tsv")
-                export_trace(path, result, model)
-                print(f"trace:    {path}")
+    for turn in load_corpus(args.input):
+        result = generate_turn(model, turn, act_cfg, resp_cfg)
+        print(f"# {turn.dialogue_id} turn {turn.turn_index}")
+        print("acts:     " + " ".join(result.act_tokens))
+        print("response: " + " ".join(result.response_tokens))
+        for event in result.events:
+            print(f"event:    {event}")
+        if args.trace_dir and result.act_attention is not None:
+            path = os.path.join(
+                args.trace_dir, f"{turn.dialogue_id}_{turn.turn_index}.trace.tsv")
+            export_trace(path, result, model)
+            print(f"trace:    {path}")
     return EXIT_OK
 
 
@@ -262,8 +257,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, VocabularyError, ckpt.CheckpointError, FileNotFoundError,
-            json.JSONDecodeError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, ContractError, FloatingPointError) as e:

@@ -5,11 +5,16 @@ rejected. The fingerprint of the resolved config is embedded in artifacts.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
-    pass
+    """A run setting that is unknown, mistyped or out of range (exit 1)."""
+
+
+class DataError(ValueError):
+    """A corpus, ontology or checkpoint file that cannot be used (exit 2)."""
 
 
 def _bool(text):
@@ -19,7 +24,7 @@ def _bool(text):
         return True
     if str(text).lower() in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 @dataclass
@@ -60,37 +65,50 @@ class RunConfig:
     @classmethod
     def schema(cls):
         casts = {int: int, float: float, str: str, bool: _bool}
-        return {f.name: casts[f.type if isinstance(f.type, type) else
-                              {"int": int, "float": float, "str": str,
-                               "bool": bool}[f.type]]
-                for f in fields(cls)}
+        return {f.name: casts[f.type] for f in fields(cls)}
 
     @classmethod
     def resolve(cls, file_path: str = "", overrides: dict | None = None) -> "RunConfig":
         schema = cls.schema()
+
+        def cast(key, text, where):
+            if key not in schema:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            try:
+                return schema[key](text)
+            except ValueError:
+                raise ConfigError(f"{where}: {key}={text!r} is not a valid "
+                                  f"{schema[key].__name__.lstrip('_')}") from None
+
         values = {}
         if file_path:
-            with open(file_path, encoding="utf-8") as f:
-                for lineno, raw in enumerate(f, 1):
-                    line = raw.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(f"{file_path}:{lineno}: expected key=value")
-                    key, val = (s.strip() for s in line.split("=", 1))
-                    if key not in schema:
-                        raise ConfigError(f"{file_path}:{lineno}: unknown key {key!r}")
-                    values[key] = schema[key](val)
+            try:
+                with open(file_path, encoding="utf-8") as f:
+                    lines = f.read().splitlines()
+            except UnicodeDecodeError as e:
+                raise ConfigError(f"{file_path}: not UTF-8 text ({e})") from None
+            for lineno, raw in enumerate(lines, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{file_path}:{lineno}: expected key=value")
+                key, val = (s.strip() for s in line.split("=", 1))
+                values[key] = cast(key, val, f"{file_path}:{lineno}")
         for key, val in (overrides or {}).items():
-            if key not in schema:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = schema[key](val)
+            values[key] = cast(key, val, "override")
         cfg = cls(**values)
         cfg.validate()
         return cfg
 
     def validate(self):
-        from .model import LossMode
+        """Build the model shape, the search settings and the loss mode,
+        each of which checks its own values, then check the ranges that no
+        type owns. Raises ConfigError."""
+        from .decode import decode_configs
+        from .model import LossMode, model_config
+        model_config(self)
+        decode_configs(self)
         LossMode.parse(self.loss_mode)
         if self.mode not in ("joint", "act_only", "pipeline"):
             raise ConfigError(f"unknown mode {self.mode!r}")
@@ -98,8 +116,15 @@ class RunConfig:
             raise ConfigError(f"unknown act_attention {self.act_attention!r}")
         if self.mode == "pipeline" and not self.init_from:
             raise ConfigError("pipeline mode requires init_from=<act-only checkpoint>")
-        if self.beam_size < 1:
-            raise ConfigError("beam_size must be >= 1")
+        for name, ok, rule in (
+                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("epochs", self.epochs >= 0, ">= 0"),
+                ("warmup_epochs", self.warmup_epochs >= 0, ">= 0"),
+                ("stop_check_every", self.stop_check_every >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     # filesystem locations; excluded from the fingerprint so that runs which
     # differ only in where they read or write artifacts hash identically

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acts import ActTriple, Ontology, SOS, EOS, canonicalize
+from .config import DataError
 from .files import atomic_write
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -23,7 +24,7 @@ USR, SYS = "<usr>", "<sys>"
 DB_BUCKETS = 4  # match counts 0, 1, 2-3, >=4
 
 
-class CorpusError(ValueError):
+class CorpusError(DataError):
     """Schema violation while loading a corpus file."""
 
 
@@ -86,8 +87,11 @@ class Vocab:
 
 
 def read_dialogues(path) -> list:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise CorpusError(f"{path}: not a JSON corpus ({e})") from None
     if not isinstance(data, list):
         raise CorpusError("corpus root must be a list of dialogues")
     return data
@@ -126,9 +130,9 @@ def _db_buckets(db, did, path) -> dict:
     for domain, count in sorted(db.items()):
         try:
             buckets[domain] = db_bucket(int(count))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):   # OverflowError: inf
             raise CorpusError(f"corpus schema violation in {did!r} at {path}.{domain}: "
-                              f"match count {count!r} is not an integer") from None
+                              f"match count {count!r} is not a finite number") from None
     return buckets
 
 
@@ -176,6 +180,8 @@ def load_corpus(path) -> list:
     turns = []
     for dlg in read_dialogues(path):
         turns.extend(expand_dialogue(dlg))
+    if not turns:
+        raise CorpusError(f"{path}: corpus holds no turns")
     return turns
 
 

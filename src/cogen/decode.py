@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .files import atomic_write
 from .tensor import Tensor, no_grad, log_softmax_np
 from .transformer import AttentionTrace, gather_cache
@@ -34,8 +34,9 @@ class DecodeConfig:
     length_norm: bool = False
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+        for name in ("beam_size", "max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def decode_configs(run: RunConfig) -> tuple:

@@ -16,7 +16,14 @@ from .transformer import (TransformerConfig, EncoderOutput, AttentionTrace,
                           sinusoidal_positions)
 from .corpus import Batch, Vocab, belief_dim, PAD_ID
 from .acts import Ontology
-from .config import ConfigError
+from .config import ConfigError, RunConfig
+
+
+def model_config(run: RunConfig) -> TransformerConfig:
+    """The encoder and decoder shape a run asks for."""
+    return TransformerConfig(n_layers=run.n_layers, n_heads=run.n_heads,
+                             d_model=run.d_model, d_ff=run.d_ff,
+                             max_seq_len=run.max_seq_len)
 
 
 @dataclass
@@ -67,7 +74,7 @@ class CogenModel:
         p["s1"] = Tensor(np.zeros(()), True)
         p["s2"] = Tensor(np.zeros(()), True)
         self.params = p
-        self._pos_cache: dict = {}
+        self._pos_tables: dict = {}   # dtype name -> the longest table built
 
     # -- parameter grouping ---------------------------------------------------
 
@@ -91,10 +98,14 @@ class CogenModel:
     # -- embeddings -----------------------------------------------------------
 
     def _positions(self, n: int) -> np.ndarray:
-        key = (n, T.default_dtype().__name__)
-        if key not in self._pos_cache:
-            self._pos_cache[key] = sinusoidal_positions(n, self.cfg.d_model)
-        return self._pos_cache[key]
+        """The first n rows of one table per dtype, rebuilt longer when a
+        longer prefix is asked for. The table's rows do not depend on its
+        length, so a slice equals a table built at that length."""
+        key = T.default_dtype().__name__
+        table = self._pos_tables.get(key)
+        if table is None or len(table) < n:
+            table = self._pos_tables[key] = sinusoidal_positions(n, self.cfg.d_model)
+        return table[:n]
 
     def _embed(self, table: Tensor, ids: np.ndarray, positions: np.ndarray) -> Tensor:
         """Scaled token embeddings plus the encodings of `positions`, each
@@ -191,8 +202,7 @@ def sequence_loss(logits: Tensor, targets: np.ndarray,
 
 
 def weighted_sum_loss(l_a: Tensor, l_r: Tensor, alpha: float) -> Tensor:
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"weighted-sum alpha must be in [0, 1], got {alpha}")
+    """alpha*L_a + (1 - alpha)*L_r; LossMode.parse holds alpha to [0, 1]."""
     return l_a * alpha + l_r * (1.0 - alpha)
 
 
@@ -213,7 +223,13 @@ class LossMode:
         if text == "uncertainty":
             return cls("uncertainty")
         if text.startswith("weighted:"):
-            return cls("weighted", float(text.split(":", 1)[1]))
+            try:
+                alpha = float(text.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(f"weighted-sum alpha is not a number: {text!r}") from None
+            if not 0.0 <= alpha <= 1.0:
+                raise ConfigError(f"weighted-sum alpha must be in [0, 1], got {alpha}")
+            return cls("weighted", alpha)
         raise ConfigError(f"unknown loss mode {text!r}")
 
     def __str__(self):

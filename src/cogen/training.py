@@ -8,9 +8,8 @@ from .acts import Ontology
 from .corpus import load_corpus, build_vocab, batchify, PAD_ID
 from .config import RunConfig
 from .files import atomic_write
-from .model import (CogenModel, LossMode, act_only_step, train_step)
+from .model import CogenModel, LossMode, act_only_step, model_config, train_step
 from .tensor import Adam, NumericError, no_grad
-from .transformer import TransformerConfig
 
 
 def load_data(run: RunConfig):
@@ -21,10 +20,7 @@ def load_data(run: RunConfig):
 
 
 def build_model(run: RunConfig, text_vocab, act_vocab, ontology) -> CogenModel:
-    cfg = TransformerConfig(n_layers=run.n_layers, n_heads=run.n_heads,
-                            d_model=run.d_model, d_ff=run.d_ff,
-                            max_seq_len=run.max_seq_len)
-    model = CogenModel(cfg, text_vocab, act_vocab, ontology,
+    model = CogenModel(model_config(run), text_vocab, act_vocab, ontology,
                        act_attention=run.act_attention, seed=run.seed)
     if run.init_from:
         from . import checkpoint as ckpt

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .config import ConfigError
 from .tensor import Tensor, ContractError, attention, concat, matmul, layer_norm
 
 
@@ -29,10 +30,15 @@ class TransformerConfig:
     max_seq_len: int = 256
 
     def __post_init__(self):
+        for name in ("n_layers", "n_heads", "d_model", "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.d_ff < 0:
+            raise ConfigError(f"d_ff must be >= 0, got {self.d_ff}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
         if self.d_model % self.n_heads != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +173,22 @@ class TestOntologyIO:
         assert loaded.domains == ONTOLOGY.domains
         assert loaded.actions == ONTOLOGY.actions
         assert loaded.slots == ONTOLOGY.slots
+
+    def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
+        """A save that fails at the rename leaves the previous ontology in
+        place and no temporary file beside it."""
+        path = tmp_path / "ontology.txt"
+        ONTOLOGY.save(path)
+        before = path.read_bytes()
+
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            Ontology(["taxi"], ["inform"], ["phone"]).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ontology.txt"]
 
     def test_level_collision_suggests_suffix(self):
         with pytest.raises(VocabularyError, match="#level"):

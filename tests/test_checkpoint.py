@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -143,6 +144,16 @@ class TestCorruption:
                 ckpt.load(bad)     # a flip inside a string can still parse
             except ckpt.CheckpointError as e:
                 assert "\n" not in str(e)
+
+    def test_missing_parameter_refused(self, trained, tmp_path):
+        """A file without one of the model's parameters is refused by name,
+        not loaded with that parameter left at its random init."""
+        model, _ = trained
+        partial = copy.copy(model)
+        partial.params = {n: p for n, p in model.params.items() if n != "w_resp_out"}
+        ckpt.save(tmp_path / "m.ckpt", partial)
+        with pytest.raises(ckpt.CheckpointError, match="w_resp_out"):
+            ckpt.load(tmp_path / "m.ckpt")
 
     def test_failed_save_leaves_no_partial_file(self, trained, tmp_path, monkeypatch):
         model, _ = trained

@@ -135,6 +135,83 @@ class TestGenerate:
         assert "\t" in traces[0].read_text()
 
 
+def _train_with(**sets):
+    return lambda root, tmp, model: _train_args(root, tmp / "out.ckpt", **sets)
+
+
+def _train_on(corpus=None, ontology=None):
+    """Train on a corpus file holding `corpus(dialogues)`, or with an
+    ontology file holding the bytes `ontology`."""
+    def argv(root, tmp, model):
+        sets = {}
+        if corpus is not None:
+            dialogues = json.loads((root / "corpus.json").read_text())
+            (tmp / "bad.json").write_text(corpus(dialogues))
+            sets["corpus"] = tmp / "bad.json"
+        if ontology is not None:
+            (tmp / "bad.txt").write_bytes(ontology)
+            sets["ontology"] = tmp / "bad.txt"
+        return _train_args(root, tmp / "out.ckpt", **sets)
+    return argv
+
+
+def _config_file(data):
+    def argv(root, tmp, model):
+        (tmp / "run.cfg").write_bytes(data)
+        return ["train", "--config", str(tmp / "run.cfg")]
+    return argv
+
+
+def _generate(*sets, checkpoint=None, input_text=None):
+    def argv(root, tmp, model):
+        source = root / "corpus.json"
+        if input_text is not None:
+            source = tmp / "input.json"
+            source.write_text(input_text)
+        args = ["generate", "--checkpoint", checkpoint or str(model),
+                "--input", str(source)]
+        for item in sets:
+            args += ["--set", item]
+        return args
+    return argv
+
+
+def _infinite_db(dialogues):
+    dialogues[0]["turns"][0]["db"] = {"hotel": float("inf")}
+    return json.dumps(dialogues)   # writes the count as Infinity
+
+
+BAD_SETTINGS = [
+    {"d_model": "abc"}, {"lr": "abc"}, {"loss_mode": "weighted:abc"},
+    {"d_model": "6", "n_heads": "4"}, {"n_heads": "0"}, {"d_model": "0"},
+    {"d_ff": "-4"}, {"n_layers": "0"}, {"batch_size": "0"},
+    {"stop_exact_match": "0.5", "stop_check_every": "0"}, {"seed": "-1"},
+    {"lr": "nan"}, {"epochs": "-1"},
+]
+
+# (id, exit code, function of (workdir, tmp_path, trained checkpoint) giving argv)
+BAD_INPUTS = [
+    *[(" ".join(f"{k}={v}" for k, v in sets.items()), 1, _train_with(**sets))
+      for sets in BAD_SETTINGS],
+    ("config file not UTF-8", 1, _config_file(b"d_model = 8\nlr = 1\xb5\n")),
+    ("generate resp_max_len=0", 1, _generate("resp_max_len=0")),
+    ("generate act_max_len=0", 1, _generate("act_max_len=0")),
+    ("corpus []", 2, _train_on(corpus=lambda d: "[]")),
+    ("turns []", 2, _train_on(corpus=lambda d: json.dumps([dict(d[0], turns=[])]))),
+    ("db Infinity", 2, _train_on(corpus=_infinite_db)),
+    ("ontology not UTF-8", 2, _train_on(ontology=b"[domains]\nh\xf4tel\n")),
+    ("generate input 5", 2, _generate(input_text="5")),
+    ("checkpoint .", 2, _generate(checkpoint=".")),
+    ("corpus .", 2, _train_with(corpus=".")),
+]
+
+
+@pytest.fixture(scope="module")
+def table_model(workdir):
+    assert main(_train_args(workdir, "table.ckpt")) == 0
+    return workdir / "table.ckpt"
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_usage_error(self, capsys):
         assert main(["train", "--set", "d_modellll=8"]) == 1
@@ -226,6 +303,18 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 3
         assert proc.stderr == "numeric failure: non-finite loss at epoch 0\n"
+
+    @pytest.mark.parametrize("code, argv", [row[1:] for row in BAD_INPUTS],
+                             ids=[row[0] for row in BAD_INPUTS])
+    def test_bad_input_exits_with_its_code(self, workdir, table_model, tmp_path,
+                                           capsys, code, argv):
+        """Each bad setting or file ends in its documented exit code and one
+        stderr line naming the kind of error, never a traceback."""
+        capsys.readouterr()
+        assert main(argv(workdir, tmp_path, table_model)) == code
+        err = capsys.readouterr().err
+        assert err.startswith({1: "config error: ", 2: "data error: "}[code])
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_bad_set_syntax(self, capsys):
         assert main(["train", "--set", "epochs"]) == 1

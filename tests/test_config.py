@@ -62,6 +62,10 @@ class TestValidate:
         with pytest.raises(ConfigError, match="init_from"):
             RunConfig.resolve("", {"mode": "pipeline"})
 
+    def test_weighted_alpha_out_of_range_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            RunConfig.resolve("", {"loss_mode": "weighted:1.5"})
+
     def test_zero_beam_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.resolve("", {"beam_size": "0"})

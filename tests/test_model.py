@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cogen.acts import Ontology
+from cogen.config import RunConfig
 from cogen.corpus import (PAD_ID, RESERVED, SynthSpec, build_vocab,
                           expand_dialogue, make_batch, synth_generate,
                           toy_ontology)
@@ -9,7 +10,7 @@ from cogen.model import (CogenModel, ConfigError, LossMode, act_only_step,
                          combine_losses, sequence_loss, train_step,
                          uncertainty_loss, weighted_sum_loss)
 from cogen.tensor import Adam, ContractError, Tensor, use_dtype
-from cogen.transformer import TransformerConfig
+from cogen.transformer import TransformerConfig, sinusoidal_positions
 from oracles import masked_encode_shared
 
 
@@ -144,6 +145,23 @@ class TestCompactActPass:
             assert g.dtype == dtype and err(g, ref_grads[name]) < tol, name
 
 
+class TestPositions:
+    def test_one_table_regrown_and_sliced(self, world):
+        """Lengths n, then m > n, then n again leave one table, and each
+        slice is bitwise a table built at that length; a second dtype
+        keeps its own."""
+        model = _model(world)
+        for n in (5, 17, 5):
+            got = model._positions(n)
+            fresh = sinusoidal_positions(n, model.cfg.d_model)
+            assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
+            assert len(model._pos_tables) == 1
+        with use_dtype(np.float64):
+            assert model._positions(3).tobytes() \
+                == sinusoidal_positions(3, model.cfg.d_model).tobytes()
+        assert len(model._pos_tables) == 2
+
+
 class TestForward:
     def test_act_logit_shapes(self, world):
         model = _model(world)
@@ -226,7 +244,9 @@ class TestLosses:
 
     def test_weighted_sum_alpha_range(self):
         with pytest.raises(ConfigError):
-            weighted_sum_loss(Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)), 1.5)
+            LossMode.parse("weighted:1.5")
+        with pytest.raises(ConfigError):
+            RunConfig.resolve("", {"loss_mode": "weighted:1.5"})
 
     def test_uncertainty_at_unit_sigma(self):
         la, lr = Tensor(np.asarray(2.0)), Tensor(np.asarray(8.0))
