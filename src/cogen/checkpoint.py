@@ -36,6 +36,15 @@ def ontology_hash(ontology: Ontology) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def verify(path, header: dict, text_vocab: Vocab, ontology: Ontology):
+    """Raise CheckpointError unless the checkpoint at `path`, whose header
+    this is, was made with this text vocabulary and ontology."""
+    if header["ontology_hash"] != ontology_hash(ontology):
+        raise CheckpointError(f"{path}: checkpoint ontology hash does not match corpus ontology")
+    if header["vocab_hash"] != vocab_hash(text_vocab):
+        raise CheckpointError(f"{path}: checkpoint vocab hash does not match corpus vocabulary")
+
+
 def _write_bytes(f, b: bytes):
     f.write(struct.pack("<I", len(b)))
     f.write(b)

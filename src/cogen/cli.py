@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 usage/config error, 2 data error, 3 numeric failure.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -90,8 +91,7 @@ def _sweep(run: RunConfig, turns, text_vocab, act_vocab, ontology) -> int:
     modes.append("uncertainty")
     reports = []
     for mode_text in modes:
-        sub = RunConfig(**{k: v for k, v in run.as_items()})
-        sub.loss_mode = mode_text
+        sub = replace(run, loss_mode=mode_text)
         model, _, _, _ = _train_once(sub, turns, text_vocab, act_vocab, ontology,
                                      quiet=True)
         report = evaluate_model(model, turns, sub, label=mode_text)
@@ -104,13 +104,6 @@ def _sweep(run: RunConfig, turns, text_vocab, act_vocab, ontology) -> int:
         write_report(run.report, reports, extra_lines=extra)
         print(f"sweep report written to {run.report}")
     return EXIT_OK
-
-
-def _verify_checkpoint(header, text_vocab, ontology):
-    if header["ontology_hash"] != ckpt.ontology_hash(ontology):
-        raise ckpt.CheckpointError("checkpoint ontology hash does not match corpus ontology")
-    if header["vocab_hash"] != ckpt.vocab_hash(text_vocab):
-        raise ckpt.CheckpointError("checkpoint vocab hash does not match corpus vocabulary")
 
 
 def cmd_eval(args) -> int:
@@ -129,7 +122,7 @@ def cmd_eval(args) -> int:
     reports = []
     for label, path in runs:
         model, _, header = ckpt.load(path)
-        _verify_checkpoint(header, text_vocab, ontology)
+        ckpt.verify(path, header, text_vocab, ontology)
         report = evaluate_model(model, turns, run, label=label)
         reports.append(report)
         print(f"{label:<16} inform {report.inform:.2f} success {report.success:.2f} "
@@ -192,6 +185,8 @@ def cmd_chat(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     results = run_all(seeds=tuple(range(args.seeds)))
     width = max(len(name) for name, *_ in results)
     failed = False
@@ -202,9 +197,16 @@ def cmd_gradcheck(args) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 1, one line), not argparse's
+    usage text and exit 2; subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="cogen",
-                                description="act/response co-generation harness")
+    p = _Parser(prog="cogen", description="act/response co-generation harness")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")

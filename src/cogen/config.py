@@ -121,6 +121,8 @@ class RunConfig:
                 ("batch_size", self.batch_size >= 1, ">= 1"),
                 ("epochs", self.epochs >= 0, ">= 0"),
                 ("warmup_epochs", self.warmup_epochs >= 0, ">= 0"),
+                ("min_freq", self.min_freq >= 1, ">= 1"),
+                ("stop_exact_match", 0.0 <= self.stop_exact_match <= 1.0, "in [0, 1]"),
                 ("stop_check_every", self.stop_check_every >= 1, ">= 1"),
                 ("seed", self.seed >= 0, ">= 0")):
             if not ok:

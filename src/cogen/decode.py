@@ -2,7 +2,9 @@
 pipeline, and attention-trace export.
 
 Both decoders run incrementally: each search step feeds one token per live
-hypothesis and keeps per-layer keys and values (see transformer.KVCache).
+hypothesis, and the per-layer keys and values (see transformer.KVCache) are
+the only state the search carries. After each search the winner is read
+back by one teacher-forced pass, the one training runs.
 """
 
 from dataclasses import dataclass, field, replace
@@ -11,7 +13,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .files import atomic_write
-from .tensor import Tensor, no_grad, log_softmax_np
+from .tensor import no_grad, log_softmax_np
 from .transformer import AttentionTrace, gather_cache
 from .corpus import make_batch, PAD_ID, SOS_ID, EOS_ID
 from .acts import parse
@@ -23,7 +25,6 @@ class Hypothesis:
     score: float                  # sum of chosen-token log-softmax values
     finished: bool = False
     truncated: bool = False
-    cache: object = None          # (step state, row) that consumed a prefix of tokens
 
 
 @dataclass
@@ -105,14 +106,14 @@ def beam_search(step_fn, cfg: DecodeConfig, vocab_size: int,
     beams finished or max_len is reached, or, without length normalisation,
     when every live hypothesis already scores below a finished one. Best =
     highest-scoring finished hypothesis, falling back to the best unfinished
-    one (flagged truncated). Each hypothesis keeps as `cache` the state and
-    row of the last step call that scored it.
+    one (flagged truncated). Every step has a candidate: trigram blocking
+    never bans the end token, since only unfinished hypotheses extend a ban
+    map.
     """
     alive = [Hypothesis(tokens=(sos_id,), score=0.0)]
     bans = [{}]                   # per live hypothesis, see extend_bans
     frontier = Frontier([alive[0].tokens], np.zeros(1, dtype=np.int64))
     finished: list = []
-    stalled: list = []
     for _ in range(cfg.max_len):
         logits, state = step_fn(frontier)
         logp = log_softmax_np(np.asarray(logits, dtype=np.float64))
@@ -121,8 +122,6 @@ def beam_search(step_fn, cfg: DecodeConfig, vocab_size: int,
         if cfg.trigram_block:
             for row, (hyp, ban) in enumerate(zip(alive, bans)):
                 allowed[row, list(ban.get(hyp.tokens[-2:], ()))] = False
-        for row in np.flatnonzero(~allowed.any(axis=1)):
-            stalled.append(replace(alive[row], truncated=True, cache=(state, row)))
         n = len(alive[0].tokens)  # every candidate has n tokens after the start
         rank = (scores / n if cfg.length_norm else scores).ravel()
         cand = np.flatnonzero(allowed)
@@ -139,7 +138,7 @@ def beam_search(step_fn, cfg: DecodeConfig, vocab_size: int,
             parent = alive[row]
             kept.append(Hypothesis(tokens=parent.tokens + (tok,),
                                    score=float(scores[row, tok]),
-                                   finished=(tok == eos_id), cache=(state, row)))
+                                   finished=(tok == eos_id)))
             if not kept[-1].finished:
                 kept_bans.append(extend_bans(bans[row], parent.tokens, tok)
                                  if cfg.trigram_block else bans[row])
@@ -153,53 +152,24 @@ def beam_search(step_fn, cfg: DecodeConfig, vocab_size: int,
             break
         bans = kept_bans
         frontier = Frontier([h.tokens for h in alive], np.asarray(parents), state)
-    leftovers = stalled + [replace(h, truncated=True) for h in alive]
-    pool = finished if finished else leftovers
+    pool = finished or [replace(h, truncated=True) for h in alive]
     return min(pool, key=_rank_key(cfg))
 
 
-@dataclass
-class StepState:
-    """What a decoder step keeps per hypothesis row: the model's cache and
-    one output row per consumed position (act hidden states, or the
-    head-averaged dynamic act attention)."""
-    cache: dict
-    outputs: np.ndarray | None = None     # [rows, consumed positions, width]
-
-    @property
-    def length(self) -> int:
-        return 0 if self.outputs is None else self.outputs.shape[1]
-
-    def rows(self, rows) -> "StepState":
-        return StepState(gather_cache(self.cache, rows), self.outputs[rows])
-
-
 def _incremental(forward):
-    """Step function around `forward(new_tokens, cache) -> (logits,
-    outputs)`, which runs a decoder over the tokens of each prefix past the
-    state's length. <pad> and <sos> get no probability: the decoders never
-    emit them after the start token."""
+    """Step function around `forward(tokens [rows, 1], cache) -> logits`,
+    which runs a decoder over each prefix's last token (the search feeds
+    one per call) into its parent's cache rows, and returns the cache as
+    the state. <pad> and <sos> get no probability: the decoders never emit
+    them after the start token."""
     def step(frontier: Frontier):
-        state = (StepState({}) if frontier.state is None
-                 else frontier.state.rows(frontier.parents))
-        new = np.asarray([p[state.length:] for p in frontier.prefixes], dtype=np.int64)
-        logits, outputs = forward(new, state.cache)
-        state.outputs = outputs if state.outputs is None else np.concatenate(
-            [state.outputs, outputs], axis=1)
-        logits = logits[:, -1]
+        cache = ({} if frontier.state is None
+                 else gather_cache(frontier.state, frontier.parents))
+        last = np.asarray([p[-1:] for p in frontier.prefixes], dtype=np.int64)
+        logits = forward(last, cache)[:, -1]
         logits[:, [PAD_ID, SOS_ID]] = -np.inf
-        return logits, state
+        return logits, cache
     return step
-
-
-def _consume(step, hyp: Hypothesis, inputs: tuple) -> StepState:
-    """The one-row state of a decoder that has consumed `inputs`, which
-    extend `hyp.tokens[:-1]`: the state the search left for `hyp`, extended
-    by one cached call over the inputs it did not feed."""
-    state, row = hyp.cache
-    if state.length == len(inputs):
-        return state.rows([row])
-    return step(Frontier([inputs], np.asarray([row]), state))[1]
 
 
 @dataclass
@@ -214,9 +184,10 @@ class GenerationResult:
 def generate_turn(model, turn, act_cfg: DecodeConfig | None = None,
                   resp_cfg: DecodeConfig | None = None) -> GenerationResult:
     """Two-pass generation: beam-decode the act sequence, then beam-decode
-    the response attending to the act hidden states, which the act search's
-    cache already holds. A config not given is the default run's
-    (decode_configs)."""
+    the response attending to the act hidden states. After each search one
+    teacher-forced pass over the winner reads back what the next stage
+    needs: the act hidden states, and the dynamic act attention. A config
+    not given is the default run's (decode_configs)."""
     default_act, default_resp = decode_configs(RunConfig())
     act_cfg, resp_cfg = act_cfg or default_act, resp_cfg or default_resp
     events = []
@@ -225,34 +196,28 @@ def generate_turn(model, turn, act_cfg: DecodeConfig | None = None,
                            model.ontology, model.cfg.max_seq_len)
         dual = model.encode_shared(batch)
 
-        def act_forward(new, cache):
-            logits, hidden = model.act_forward(dual, batch.belief, new, cache=cache)
-            return logits.data, hidden.data
+        def act_logits(new, cache):
+            return model.act_forward(dual, batch.belief, new, cache=cache)[0].data
 
-        act_step = _incremental(act_forward)
-        act_hyp = beam_search(act_step, act_cfg, len(model.act_vocab))
-        act_in = act_hyp.tokens[:-1] if act_hyp.finished else act_hyp.tokens
-        if len(act_in) == 1:
+        act_hyp = beam_search(_incremental(act_logits), act_cfg, len(model.act_vocab))
+        act_in = np.asarray([act_hyp.tokens[:-1] if act_hyp.finished else act_hyp.tokens])
+        if act_in.shape[1] == 1:
             events.append("empty-act-body")
-        act_hidden = Tensor(_consume(act_step, act_hyp, act_in).outputs)
-        act_mask = np.ones((1, len(act_in)), dtype=bool)
+        _, act_hidden = model.act_forward(dual, batch.belief, act_in)
+        act_mask = np.ones(act_in.shape, dtype=bool)
 
-        def resp_forward(new, cache):
-            trace = AttentionTrace()
-            logits = model.response_forward(dual, act_hidden, act_mask, new,
-                                            trace=trace, cache=cache)
-            weights = dict(trace.entries).get("respdec.dyn")   # none in mean mode
-            if weights is None:
-                return logits.data, np.zeros(new.shape + (0,), dtype=np.float32)
-            return logits.data, weights.mean(axis=1)
+        def resp_logits(new, cache):
+            return model.response_forward(dual, act_hidden, act_mask, new,
+                                          cache=cache).data
 
-        resp_step = _incremental(resp_forward)
-        resp_hyp = beam_search(resp_step, resp_cfg, len(model.text_vocab))
+        resp_hyp = beam_search(_incremental(resp_logits), resp_cfg, len(model.text_vocab))
         resp_ids = [t for t in resp_hyp.tokens if t not in (SOS_ID, EOS_ID)]
-        # the row of the last token, which the search scored but never fed
         attn = None
         if model.act_attention == "dynamic":
-            attn = _consume(resp_step, resp_hyp, resp_hyp.tokens).outputs[0]
+            trace = AttentionTrace()
+            model.response_forward(dual, act_hidden, act_mask,
+                                   np.asarray([resp_hyp.tokens]), trace=trace)
+            attn = dict(trace.entries)["respdec.dyn"][0].mean(axis=0)
 
     act_tokens = model.act_vocab.decode(act_hyp.tokens)
     if resp_hyp.truncated:

@@ -138,8 +138,7 @@ class CogenModel:
         return DualEncoding(enc_act=enc_act, enc_resp=enc_resp)
 
     def act_forward(self, dual: DualEncoding, belief: np.ndarray,
-                    act_in: np.ndarray, trace: AttentionTrace | None = None,
-                    cache: dict | None = None):
+                    act_in: np.ndarray, cache: dict | None = None):
         """Act decoder pass: teacher-forced over a full prefix, or, with a
         cache (see decoder_step), over the tokens that follow the cached ones.
 
@@ -154,7 +153,7 @@ class CogenModel:
                       self.params["w_belief"])
         u = u + proj.reshape(proj.shape[0], 1, proj.shape[1])
         h, c = decoder_step(self.params, "actdec", u, dual.enc_act, self.cfg,
-                            trace=trace, cache=cache)
+                            cache=cache)
         hidden = concat([h, c], axis=-1)
         logits = output_projection(hidden, self.params["w_act_out"])
         return logits, hidden

@@ -24,10 +24,17 @@ def build_model(run: RunConfig, text_vocab, act_vocab, ontology) -> CogenModel:
                        act_attention=run.act_attention, seed=run.seed)
     if run.init_from:
         from . import checkpoint as ckpt
-        src, _, _ = ckpt.load(run.init_from)
-        for name in src.param_names("act"):
-            if name in model.params and model.params[name].shape == src.params[name].shape:
-                model.params[name].data = src.params[name].data.copy()
+        src, _, header = ckpt.load(run.init_from)
+        ckpt.verify(run.init_from, header, text_vocab, ontology)
+        ours = {n: model.params[n].shape for n in model.param_names("act")}
+        theirs = {n: src.params[n].shape for n in src.param_names("act")}
+        bad = sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n))
+        if bad:
+            raise ckpt.CheckpointError(
+                f"{run.init_from}: act parameter {bad[0]!r} is {theirs.get(bad[0])} in the "
+                f"checkpoint but {ours.get(bad[0])} in the model ({len(bad)} differ)")
+        for name in ours:
+            model.params[name].data = src.params[name].data.copy()
     return model
 
 

@@ -84,6 +84,29 @@ class TestTrain:
             == (workdir / "full.log").read_text()
 
 
+    def test_sweep_reports_every_mode(self, small_files, tmp_path, capsys):
+        """`train --sweep` trains and scores the eleven fixed weights and the
+        uncertainty mode, and ranks the latter among them."""
+        corpus, ontology = small_files
+        sets = {"corpus": corpus, "ontology": ontology, "report": tmp_path / "sweep.txt",
+                "d_model": 8, "n_layers": 1, "n_heads": 2, "epochs": 1,
+                "warmup_epochs": 1, "batch_size": 8, "act_max_len": 10,
+                "resp_max_len": 20}
+        args = ["train", "--sweep"]
+        for k, v in sets.items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 0
+        modes = [f"weighted:{a / 10:.1f}" for a in range(11)] + ["uncertainty"]
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out[:12]] == modes
+        report = (tmp_path / "sweep.txt").read_text()
+        table = report.split("\n\n")[0].splitlines()
+        assert [row.split()[0] for row in table[1:]] == modes
+        rank = report.splitlines()[-1].split()
+        assert rank[0] == "uncertainty_rank" and rank[2:] == ["of", "12"]
+        assert 1 <= int(rank[1]) <= 12
+
+
 class TestEval:
     def test_eval_trained_checkpoint(self, workdir, capsys):
         main(_train_args(workdir))
@@ -139,11 +162,12 @@ def _train_with(**sets):
     return lambda root, tmp, model: _train_args(root, tmp / "out.ckpt", **sets)
 
 
-def _train_on(corpus=None, ontology=None):
+def _train_on(corpus=None, ontology=None, warm_start=False, **extra):
     """Train on a corpus file holding `corpus(dialogues)`, or with an
-    ontology file holding the bytes `ontology`."""
+    ontology file holding the bytes `ontology`, with the settings `extra`;
+    `warm_start` initialises the act branch from the trained checkpoint."""
     def argv(root, tmp, model):
-        sets = {}
+        sets = dict(extra, init_from=model) if warm_start else dict(extra)
         if corpus is not None:
             dialogues = json.loads((root / "corpus.json").read_text())
             (tmp / "bad.json").write_text(corpus(dialogues))
@@ -176,6 +200,15 @@ def _generate(*sets, checkpoint=None, input_text=None):
     return argv
 
 
+def _argv(*args):
+    return lambda root, tmp, model: list(args)
+
+
+def _new_word(dialogues):
+    dialogues[0]["turns"][0]["user"] += " zeppelin"
+    return json.dumps(dialogues)
+
+
 def _infinite_db(dialogues):
     dialogues[0]["turns"][0]["db"] = {"hotel": float("inf")}
     return json.dumps(dialogues)   # writes the count as Infinity
@@ -186,7 +219,8 @@ BAD_SETTINGS = [
     {"d_model": "6", "n_heads": "4"}, {"n_heads": "0"}, {"d_model": "0"},
     {"d_ff": "-4"}, {"n_layers": "0"}, {"batch_size": "0"},
     {"stop_exact_match": "0.5", "stop_check_every": "0"}, {"seed": "-1"},
-    {"lr": "nan"}, {"epochs": "-1"},
+    {"lr": "nan"}, {"epochs": "-1"}, {"stop_exact_match": "nan"},
+    {"stop_exact_match": "5"}, {"min_freq": "-1"},
 ]
 
 # (id, exit code, function of (workdir, tmp_path, trained checkpoint) giving argv)
@@ -203,6 +237,12 @@ BAD_INPUTS = [
     ("generate input 5", 2, _generate(input_text="5")),
     ("checkpoint .", 2, _generate(checkpoint=".")),
     ("corpus .", 2, _train_with(corpus=".")),
+    ("train --bogus", 1, _argv("train", "--bogus")),
+    ("gradcheck --seeds 0", 1, _argv("gradcheck", "--seeds", "0")),
+    ("gradcheck --seeds -1", 1, _argv("gradcheck", "--seeds", "-1")),
+    ("init_from d_model=16", 2, _train_on(warm_start=True, mode="pipeline", d_model=16)),
+    ("init_from n_layers=2", 2, _train_on(warm_start=True, n_layers=2)),
+    ("init_from other vocabulary", 2, _train_on(corpus=_new_word, warm_start=True)),
 ]
 
 

@@ -161,17 +161,26 @@ class TestBeamBehaviour:
             hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
             assert not has_repeated_trigram(hyp.tokens)
 
-    def test_stalled_search_returns_best_prefix(self):
-        """With one token heavily favored the beam hits the trigram wall and
-        must still return something sane rather than raise."""
-        vocab = 3   # pad, sos, eos -> only eos escapes token 2... use ids 0..2
+    @given(st.integers(3, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_stalled_search_returns_best_prefix(self, vocab, beam_size, seed):
+        """No row stalls: trigram blocking never bans the end token, so with
+        it in the vocabulary the search ends finished or at max_len, even
+        where one token is heavily favoured and the end token nearly ruled
+        out. At vocab 3 the favoured loops hit the trigram wall within
+        max_len and the end token is the only way out."""
         def step(prefix):
-            logits = np.full(vocab, -10.0)
-            logits[0] = 5.0
+            logits = random_step_fn(seed, vocab, scale=0.1)(prefix)
+            logits[0] += 10.0
+            logits[EOS] -= 30.0
             return logits
-        cfg = DecodeConfig(beam_size=1, max_len=20, trigram_block=True)
+        cfg = DecodeConfig(beam_size=beam_size, max_len=20, trigram_block=True)
         hyp = beam_search(per_prefix(step), cfg, vocab, sos_id=SOS, eos_id=EOS)
-        assert hyp.tokens[0] == SOS
+        assert hyp.tokens[0] == SOS and not has_repeated_trigram(hyp.tokens)
+        if vocab == 3:
+            assert hyp.finished
+        assert hyp.finished != hyp.truncated
+        assert hyp.finished or len(hyp.tokens) == cfg.max_len + 1
 
     def test_deterministic(self):
         step = random_step_fn(9, 5)
