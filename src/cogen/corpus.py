@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acts import ActTriple, Ontology, SOS, EOS, canonicalize
-from .config import DataError
+from .config import ConfigError, DataError
 from .files import atomic_write
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -289,15 +289,30 @@ def make_batch(turns: list, text_vocab: Vocab, act_vocab: Vocab,
     )
 
 
+BUCKET_WINDOW = 4   # batches per length-sorted window of batchify
+
+
 def batchify(turns: list, batch_size: int, seed: int, text_vocab: Vocab,
              act_vocab: Vocab, ontology: Ontology, max_seq_len: int = 256) -> list:
-    """Seed-shuffled, padded batches. Deterministic in (turns, seed)."""
-    order = np.random.default_rng(seed).permutation(len(turns))
-    batches = []
-    for i in range(0, len(turns), batch_size):
-        chunk = [turns[j] for j in order[i:i + batch_size]]
-        batches.append(make_batch(chunk, text_vocab, act_vocab, ontology, max_seq_len))
-    return batches
+    """Padded batches of similar source length, deterministic in (turns, seed).
+
+    A seeded permutation of the turns is cut into windows of
+    BUCKET_WINDOW * batch_size turns; each window is stable-sorted by source
+    length and cut into batches of batch_size, and the same generator then
+    shuffles the order of all batches. Every turn appears once, and the batch
+    sizes are those of plain batch_size chunks of the permutation.
+    """
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(turns))
+    lengths = np.array([len(t.source_tokens) for t in turns])
+    window = BUCKET_WINDOW * batch_size
+    for i in range(0, len(order), window):
+        w = order[i:i + window]
+        order[i:i + window] = w[np.argsort(lengths[w], kind="stable")]
+    chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+    return [make_batch([turns[j] for j in chunks[k]], text_vocab, act_vocab,
+                       ontology, max_seq_len)
+            for k in rng.permutation(len(chunks))]
 
 
 # -- synthetic corpus ---------------------------------------------------------
@@ -321,6 +336,10 @@ class SynthSpec:
     seed: int = 0
     domains: tuple = tuple(sorted(TOY_WORLD))
     n_constraints: int = 2
+
+    def __post_init__(self):
+        if self.corpus_size < 1:
+            raise ConfigError(f"corpus_size must be >= 1, got {self.corpus_size}")
 
 
 def toy_ontology(spec: SynthSpec = SynthSpec()) -> Ontology:

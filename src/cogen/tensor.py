@@ -371,9 +371,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def bw(g):
         if x._needs_graph():
             gg = g * gain.data
-            gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                        - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-            x._accum(gx.astype(x.data.dtype))
+            gx = inv * (gg - np.add.reduce(gg, axis=-1, keepdims=True) / d
+                        - xhat * (np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d))
+            x._accum(gx)
         if gain._needs_graph():
             gain._accum(_unbroadcast(g * xhat, gain.shape))
         if bias._needs_graph():

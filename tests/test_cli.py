@@ -204,6 +204,11 @@ def _argv(*args):
     return lambda root, tmp, model: list(args)
 
 
+def _synth(size):
+    return lambda root, tmp, model: ["synth", "--size", size,
+                                     "--out", str(tmp / "synth.json")]
+
+
 def _new_word(dialogues):
     dialogues[0]["turns"][0]["user"] += " zeppelin"
     return json.dumps(dialogues)
@@ -243,6 +248,8 @@ BAD_INPUTS = [
     ("init_from d_model=16", 2, _train_on(warm_start=True, mode="pipeline", d_model=16)),
     ("init_from n_layers=2", 2, _train_on(warm_start=True, n_layers=2)),
     ("init_from other vocabulary", 2, _train_on(corpus=_new_word, warm_start=True)),
+    ("synth --size 0", 1, _synth("0")),
+    ("synth --size -3", 1, _synth("-3")),
 ]
 
 

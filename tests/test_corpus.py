@@ -1,12 +1,14 @@
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from cogen.acts import ActTriple
-from cogen.corpus import (DB_BUCKETS, EOS_ID, PAD_ID, RESERVED, SOS_ID,
-                          CorpusError, SynthSpec, batchify, belief_dim,
+from cogen.corpus import (BUCKET_WINDOW, DB_BUCKETS, EOS_ID, PAD_ID, RESERVED,
+                          SOS_ID, CorpusError, SynthSpec, batchify, belief_dim,
                           belief_vector, build_vocab, db_bucket, db_token,
                           expand_dialogue, load_corpus, make_batch,
                           synth_generate, tokenize, toy_ontology,
@@ -184,6 +186,64 @@ class TestBatch:
         b1 = batchify(turns, 4, 7, text_vocab, act_vocab, ontology)
         b2 = batchify(turns, 4, 8, text_vocab, act_vocab, ontology)
         assert any(not np.array_equal(x.src, y.src) for x, y in zip(b1, b2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batchify_holds_every_turn_once(self, synth, seed):
+        """24 turns at batch 5: two windows (20 and 4 turns) and a short
+        last chunk, which keeps its size wherever the shuffle puts it."""
+        _, ontology, turns = synth
+        text_vocab, act_vocab = build_vocab(turns, ontology)
+        batches = batchify(turns, 5, seed, text_vocab, act_vocab, ontology)
+        held = [_turn_id(t) for b in batches for t in b.turns]
+        assert sorted(held) == sorted(_turn_id(t) for t in turns)
+        plain = [len(turns[i:i + 5]) for i in range(0, len(turns), 5)]
+        assert len(batches) == math.ceil(len(turns) / 5)
+        assert sorted(len(b.turns) for b in batches) == sorted(plain)
+
+    def test_batchify_fills_synth_sources(self):
+        """The windows sort out most of the padding on the 200-dialogue
+        corpus; plain chunks of the permutation fill 0.64."""
+        spec = SynthSpec(corpus_size=200, seed=0)
+        ontology = toy_ontology(spec)
+        turns = [t for d in synth_generate(spec) for t in expand_dialogue(d)]
+        text_vocab, act_vocab = build_vocab(turns, ontology)
+        real = padded = 0
+        for epoch in range(3):
+            for b in batchify(turns, 32, epoch, text_vocab, act_vocab, ontology):
+                real += int(b.src_mask.sum())
+                padded += b.src_mask.size
+        assert real / padded >= 0.80
+
+    def test_batchify_ties_keep_the_permutation(self, synth):
+        """With every source the same length, the stable sort moves nothing:
+        the batches are the plain chunks of the seeded permutation."""
+        _, ontology, turns = synth
+        text_vocab, act_vocab = build_vocab(turns, ontology)
+        tied = [dataclasses.replace(turns[0], dialogue_id=f"tie{i}") for i in range(23)]
+        assert len(tied) > BUCKET_WINDOW * 4   # more than one window
+        seed = 3
+        order = np.random.default_rng(seed).permutation(len(tied))
+        plain = sorted(tuple(f"tie{j}" for j in order[i:i + 4])
+                       for i in range(0, len(tied), 4))
+        batches = batchify(tied, 4, seed, text_vocab, act_vocab, ontology)
+        assert sorted(tuple(t.dialogue_id for t in b.turns) for b in batches) == plain
+
+    def test_batchify_truncates_an_overlong_turn(self, synth):
+        _, ontology, turns = synth
+        text_vocab, act_vocab = build_vocab(turns, ontology)
+        limit = max(len(t.source_tokens) for t in turns) - 1
+        longest = max(turns, key=lambda t: len(t.source_tokens))
+        batches = batchify(turns, 4, 0, text_vocab, act_vocab, ontology,
+                           max_seq_len=limit)
+        assert all(b.src.shape[1] <= limit for b in batches)
+        (kept,) = [t for b in batches for t in b.turns
+                   if _turn_id(t) == _turn_id(longest)]
+        assert len(kept.source_tokens) < len(longest.source_tokens)
+        assert kept.history[-1] == longest.history[-1]
+
+
+def _turn_id(turn):
+    return turn.dialogue_id, turn.turn_index
 
 
 class TestSynth:
