@@ -3,6 +3,7 @@ config, vocabularies, ontology, hashes), named parameter table as raw 32-bit
 little-endian values, and optional Adam state. Round-trips byte-exactly.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -78,9 +79,7 @@ def save(path, model: CogenModel, opt: Adam | None = None, extra: dict | None = 
         if not np.isfinite(p.data).all():
             raise NumericError(f"refusing to save non-finite parameter {name}")
     header = {
-        "config": {"n_layers": model.cfg.n_layers, "n_heads": model.cfg.n_heads,
-                   "d_model": model.cfg.d_model, "d_ff": model.cfg.d_ff,
-                   "max_seq_len": model.cfg.max_seq_len},
+        "config": dataclasses.asdict(model.cfg),
         "act_attention": model.act_attention,
         "text_vocab": model.text_vocab.tokens,
         "act_vocab": model.act_vocab.tokens,
@@ -121,7 +120,8 @@ def save(path, model: CogenModel, opt: Adam | None = None, extra: dict | None = 
 
 def load(path):
     """Returns (model, optimizer-or-None, header). A file that is not a
-    whole, well-formed checkpoint raises CheckpointError."""
+    whole, well-formed checkpoint, or that holds a non-finite parameter,
+    raises CheckpointError."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
@@ -161,7 +161,9 @@ def _load(f):
             raise CheckpointError(
                 f"parameter {name!r} shape {shape} vs model "
                 f"{model.params[name].shape}")
-        model.params[name].data = arr.copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
+        model.params[name].data = arr
         loaded.add(name)
     missing = sorted(model.params.keys() - loaded)
     if missing:

@@ -12,8 +12,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .config import ConfigError, DataError, RunConfig
-from .corpus import (SynthSpec, load_corpus, synth_generate, toy_ontology,
-                     write_dialogues)
+from .corpus import (DialogueTurn, SynthSpec, load_corpus, synth_generate,
+                     tokenize, toy_ontology, write_dialogues)
 from .decode import decode_configs, export_trace, generate_turn
 from .evaluate import evaluate_model
 from .gradchecks import run_all
@@ -24,19 +24,17 @@ from .training import NumericError, build_model, load_data, train, write_loss_lo
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
 
-def _overrides(pairs):
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
+def _split_pair(item: str, flag: str, form: str) -> tuple:
+    """`item` split at its first "=", the syntax of --set key=value and
+    --run label=checkpoint; without one it is a config error."""
+    if "=" not in item:
+        raise ConfigError(f"{flag} expects {form}, got {item!r}")
+    return tuple(item.split("=", 1))
 
 
 def _resolve(args) -> RunConfig:
-    return RunConfig.resolve(getattr(args, "config", "") or "",
-                             _overrides(getattr(args, "set", None)))
+    pairs = [_split_pair(item, "--set", "key=value") for item in args.set or []]
+    return RunConfig.resolve(args.config, {k.strip(): v.strip() for k, v in pairs})
 
 
 def cmd_synth(args) -> int:
@@ -108,17 +106,12 @@ def _sweep(run: RunConfig, turns, text_vocab, act_vocab, ontology) -> int:
 
 def cmd_eval(args) -> int:
     run = _resolve(args)
-    ontology, turns, text_vocab, act_vocab = load_data(run)
-    runs = []
-    for item in args.run or []:
-        if "=" not in item:
-            raise ConfigError(f"--run expects label=checkpoint, got {item!r}")
-        label, path = item.split("=", 1)
-        runs.append((label, path))
+    runs = [_split_pair(item, "--run", "label=checkpoint") for item in args.run or []]
     if not runs:
         if not run.checkpoint:
             raise ConfigError("eval needs --run label=ckpt or checkpoint= in config")
         runs = [("model", run.checkpoint)]
+    ontology, turns, text_vocab, act_vocab = load_data(run)
     reports = []
     for label, path in runs:
         model, _, header = ckpt.load(path)
@@ -157,7 +150,6 @@ def cmd_chat(args) -> int:
     run = _resolve(args)
     model, _, _ = ckpt.load(args.checkpoint)
     act_cfg, resp_cfg = decode_configs(run)
-    from .corpus import DialogueTurn, tokenize, _flatten
     history = []
     print("chat mode; empty line quits")
     while True:
@@ -170,10 +162,8 @@ def cmd_chat(args) -> int:
         history.append(("user", tokenize(line)))
         turn = DialogueTurn(
             dialogue_id="chat", turn_index=len(history) // 2,
-            history=list(history), current_utterance_span=(0, 0),
-            db_buckets={}, belief={}, gold_acts=set(),
+            history=list(history), db_buckets={}, belief={}, gold_acts=set(),
             gold_response=["-"], goal={})
-        _flatten(turn)
         result = generate_turn(model, turn, act_cfg, resp_cfg)
         print("acts: " + " ".join(result.act_tokens))
         print("sys>  " + " ".join(result.response_tokens))
@@ -216,31 +206,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_synth)
 
-    for name, fn in (("train", cmd_train), ("eval", cmd_eval)):
-        sp = sub.add_parser(name)
+    def run_config_command(name, fn, **kwargs):
+        """A subcommand that resolves its RunConfig from --config and --set."""
+        sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--config", default="")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE")
-        if name == "train":
-            sp.add_argument("--sweep", action="store_true",
-                            help="loss-mode sweep: alpha grid + uncertainty")
-        else:
-            sp.add_argument("--run", action="append", metavar="LABEL=CKPT")
         sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("generate", help="decode turns from a corpus-schema file")
-    sp.add_argument("--config", default="")
-    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
+    sp = run_config_command("train", cmd_train)
+    sp.add_argument("--sweep", action="store_true",
+                    help="loss-mode sweep: alpha grid + uncertainty")
+
+    sp = run_config_command("eval", cmd_eval)
+    sp.add_argument("--run", action="append", metavar="LABEL=CKPT")
+
+    sp = run_config_command("generate", cmd_generate,
+                            help="decode turns from a corpus-schema file")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--input", required=True)
     sp.add_argument("--trace-dir", default="")
-    sp.set_defaults(fn=cmd_generate)
 
-    sp = sub.add_parser("chat", help="interactive inspection REPL")
-    sp.add_argument("--config", default="")
-    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
+    sp = run_config_command("chat", cmd_chat, help="interactive inspection REPL")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--show-trace", action="store_true")
-    sp.set_defaults(fn=cmd_chat)
 
     sp = sub.add_parser("gradcheck", help="finite-difference check of all ops")
     sp.add_argument("--seeds", type=int, default=5)

@@ -9,7 +9,7 @@ db: {domain: match_count}, acts: [[domain, action, slot]]}]}.
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,17 +53,34 @@ def db_token(domain: str, bucket: int) -> str:
 
 @dataclass
 class DialogueTurn:
+    """One system turn. The flattened source and its two spans are derived
+    from history and db_buckets when the turn is made."""
     dialogue_id: str
     turn_index: int
     history: list                    # [(speaker, tokens)] ending with current user turn
-    current_utterance_span: tuple    # (start, end) into the flattened source
     db_buckets: dict                 # domain -> bucket
     belief: dict                     # domain -> {slot: value}
     gold_acts: set                   # set of ActTriple
     gold_response: list              # delexicalized tokens
     goal: dict                       # domain -> {constraints, requested}
-    source_tokens: list = field(default_factory=list)   # flattened history + db
-    db_span: tuple = (0, 0)
+    source_tokens: list = field(init=False)             # flattened history + db
+    current_utterance_span: tuple = field(init=False)   # (start, end) into source_tokens
+    db_span: tuple = field(init=False)
+
+    def __post_init__(self):
+        source = []
+        span = (0, 0)
+        for speaker, toks in self.history:
+            start = len(source)
+            source.append(USR if speaker == "user" else SYS)
+            source.extend(toks)
+            span = (start, len(source))
+        db_start = len(source)
+        for domain in sorted(self.db_buckets):
+            source.append(db_token(domain, self.db_buckets[domain]))
+        self.source_tokens = source
+        self.current_utterance_span = span
+        self.db_span = (db_start, len(source))
 
 
 @dataclass
@@ -107,23 +124,6 @@ def _require(cond, dialogue_id, path):
         raise CorpusError(f"corpus schema violation in {dialogue_id!r} at {path}")
 
 
-def _flatten(turn: DialogueTurn):
-    """Fill source_tokens/current span/db span from the history + db buckets."""
-    source = []
-    span = (0, 0)
-    for speaker, toks in turn.history:
-        start = len(source)
-        source.append(USR if speaker == "user" else SYS)
-        source.extend(toks)
-        span = (start, len(source))
-    db_start = len(source)
-    for domain in sorted(turn.db_buckets):
-        source.append(db_token(domain, turn.db_buckets[domain]))
-    turn.source_tokens = source
-    turn.current_utterance_span = span
-    turn.db_span = (db_start, len(source))
-
-
 def _db_buckets(db, did, path) -> dict:
     _require(isinstance(db, dict), did, path)
     buckets = {}
@@ -158,19 +158,16 @@ def expand_dialogue(dlg: dict) -> list:
         for trip in t["acts"]:
             _require(isinstance(trip, list) and len(trip) == 3, did, f"turns[{i}].acts")
             gold_acts.add(ActTriple(*[str(x).lower() for x in trip]))
-        turn = DialogueTurn(
+        turns.append(DialogueTurn(
             dialogue_id=did,
             turn_index=i,
             history=list(history),
-            current_utterance_span=(0, 0),
             db_buckets=_db_buckets(t.get("db", {}), did, f"turns[{i}].db"),
             belief={d: dict(sv) for d, sv in belief.items()},
             gold_acts=gold_acts,
             gold_response=tokenize(t["response"]),
             goal=goal,
-        )
-        _flatten(turn)
-        turns.append(turn)
+        ))
         history.append(("system", tokenize(t["response"])))
     return turns
 
@@ -207,7 +204,7 @@ def build_vocab(turns: list, ontology: Ontology, min_freq: int = 1):
 def belief_vector(ontology: Ontology, belief: dict, db_buckets: dict) -> np.ndarray:
     """Multi-hot (domain, slot) filled flags + per-domain db bucket one-hots."""
     nd, ns = len(ontology.domains), len(ontology.slots)
-    vec = np.zeros(nd * ns + nd * DB_BUCKETS, dtype=np.float64)
+    vec = np.zeros(belief_dim(ontology), dtype=np.float64)
     for di, domain in enumerate(ontology.domains):
         for si, slot in enumerate(ontology.slots):
             if belief.get(domain, {}).get(slot):
@@ -239,8 +236,7 @@ def _truncate(turn: DialogueTurn, max_seq_len: int):
     """Drop oldest history utterances until the flattened source fits."""
     t = turn
     while len(t.source_tokens) > max_seq_len and len(t.history) > 1:
-        t = DialogueTurn(**{**t.__dict__, "history": t.history[1:]})
-        _flatten(t)
+        t = replace(t, history=t.history[1:])
     if len(t.source_tokens) > max_seq_len:
         raise CorpusError(
             f"turn {t.dialogue_id}:{t.turn_index} exceeds max_seq_len even after truncation")

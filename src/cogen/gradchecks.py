@@ -125,7 +125,7 @@ def _check_joint_loss(seed):
     gathers positions and has a padded slot."""
     from .transformer import TransformerConfig
     from .model import CogenModel, sequence_loss, uncertainty_loss
-    from .corpus import Vocab, Batch, RESERVED
+    from .corpus import Vocab, Batch, RESERVED, belief_dim
     from .acts import Ontology
 
     ontology = Ontology(["d1"], ["inform"], ["s1", "s2"])
@@ -140,15 +140,12 @@ def _check_joint_loss(seed):
         turns=[None, None], src=np.array([[5, 4, 5], [4, 5, 4]]),
         src_mask=np.ones((2, 3), dtype=bool),
         act_key_mask=np.array([[True, True, True], [False, True, True]]),
-        belief=rng.standard_normal((2, 1 * (2 + 4))),
+        belief=rng.standard_normal((2, belief_dim(ontology))),
         act_in=np.array([[1, 5, 4], [1, 4, 5]]), act_tg=np.array([[5, 4, 2], [4, 5, 2]]),
         resp_in=np.array([[1, 5, 4], [1, 4, 5]]), resp_tg=np.array([[5, 4, 2], [4, 5, 2]]))
 
     def fn(*ps):
-        dual = model.encode_shared(batch)
-        act_logits, act_hidden = model.act_forward(dual, batch.belief, batch.act_in)
-        resp_logits = model.response_forward(dual, act_hidden,
-                                             batch.act_in != 0, batch.resp_in)
+        act_logits, resp_logits = model.teacher_forced(batch)
         l_a = sequence_loss(act_logits, batch.act_tg)
         l_r = sequence_loss(resp_logits, batch.resp_tg)
         return uncertainty_loss(l_a, l_r, model.params["s1"], model.params["s2"])

@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, ContractError, concat, cross_entropy, embedding, matmul
 from .transformer import (TransformerConfig, EncoderOutput, AttentionTrace,
-                          cache_length, encode, decoder_step, output_projection,
+                          cache_length, encode, decoder_step,
                           transformer_block, init_encoder_params,
                           init_decoder_params, init_block_params,
                           sinusoidal_positions)
@@ -155,7 +155,7 @@ class CogenModel:
         h, c = decoder_step(self.params, "actdec", u, dual.enc_act, self.cfg,
                             cache=cache)
         hidden = concat([h, c], axis=-1)
-        logits = output_projection(hidden, self.params["w_act_out"])
+        logits = matmul(hidden, self.params["w_act_out"])
         return logits, hidden
 
     def response_forward(self, dual: DualEncoding, act_hidden: Tensor,
@@ -182,7 +182,17 @@ class CogenModel:
             w = np.broadcast_to(w[:, None, :], (b, tr, ta)).copy()
             o = matmul(Tensor.const(w), act_hidden)
         feats = concat([h, c, o], axis=-1)
-        return output_projection(feats, self.params["w_resp_out"])
+        return matmul(feats, self.params["w_resp_out"])
+
+    def teacher_forced(self, batch: Batch) -> tuple[Tensor, Tensor]:
+        """The joint pass over the gold prefixes -> (act logits [B, Ta, Va],
+        response logits [B, Tr, Vt]). The response decoder's act keys are the
+        hidden states of the gold act input tokens that are not padding."""
+        dual = self.encode_shared(batch)
+        act_logits, act_hidden = self.act_forward(dual, batch.belief, batch.act_in)
+        resp_logits = self.response_forward(dual, act_hidden, batch.act_in != PAD_ID,
+                                            batch.resp_in)
+        return act_logits, resp_logits
 
 
 # -- losses -------------------------------------------------------------------
@@ -260,10 +270,7 @@ def train_step(model: CogenModel, batch: Batch, opt, mode: LossMode) -> dict:
     """One joint forward/backward/Adam step; teacher forcing on both branches
     with the gold act prefix feeding the response decoder."""
     opt.zero_grad()
-    dual = model.encode_shared(batch)
-    act_logits, act_hidden = model.act_forward(dual, batch.belief, batch.act_in)
-    act_mask = batch.act_in != PAD_ID
-    resp_logits = model.response_forward(dual, act_hidden, act_mask, batch.resp_in)
+    act_logits, resp_logits = model.teacher_forced(batch)
     l_a = sequence_loss(act_logits, batch.act_tg)
     l_r = sequence_loss(resp_logits, batch.resp_tg)
     total = combine_losses(model, l_a, l_r, mode)

@@ -44,10 +44,7 @@ def teacher_forced_exact(model: CogenModel, batches) -> float:
     hit = total = 0
     with no_grad():
         for batch in batches:
-            dual = model.encode_shared(batch)
-            act_logits, act_hidden = model.act_forward(dual, batch.belief, batch.act_in)
-            resp_logits = model.response_forward(
-                dual, act_hidden, batch.act_in != PAD_ID, batch.resp_in)
+            act_logits, resp_logits = model.teacher_forced(batch)
             act_ok = _rows_exact(act_logits.data, batch.act_tg)
             resp_ok = _rows_exact(resp_logits.data, batch.resp_tg)
             hit += int((act_ok & resp_ok).sum())
@@ -68,7 +65,9 @@ def train(run: RunConfig, model: CogenModel, turns, opt=None,
     joint: act-branch warm-up for warmup_epochs, then joint epochs.
     act_only: act branch only, for `epochs`.
     pipeline: encoder + act branch frozen (loaded via init_from), response
-    branch trained with the response loss alone.
+    branch and both uncertainty scales trained on the configured combined
+    loss, in which the frozen act loss is a constant (in uncertainty mode
+    s1 is still fitted to it).
 
     Only the parameters `opt` holds require gradients, so no backward pass
     differentiates a frozen one.

@@ -220,11 +220,3 @@ def decoder_step(params: dict, prefix: str, prev_emb: Tensor, enc: EncoderOutput
     c = transformer_block(params, f"{prefix}.cross", h, enc.hidden, enc.source_mask,
                           cfg.n_heads, trace=trace, cache=cache)
     return h, c
-
-
-def output_projection(features: Tensor, w: Tensor) -> Tensor:
-    """Map concatenated decoder features to vocabulary logits."""
-    if features.shape[-1] != w.shape[0]:
-        raise T.ShapeError(
-            f"output_projection: feature width {features.shape[-1]} vs W rows {w.shape[0]}")
-    return matmul(features, w)

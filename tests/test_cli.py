@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,17 @@ def _synth(size):
                                      "--out", str(tmp / "synth.json")]
 
 
+def _non_finite_checkpoint(root, tmp, model):
+    """generate with a copy of `model` whose first emb.src float is inf."""
+    raw = bytearray(model.read_bytes())
+    name = b"emb.src"
+    # the parameter record: name length, name, ndim, two dims, then floats
+    at = raw.index(struct.pack("<I", len(name)) + name) + 4 + len(name) + 1 + 2 * 4
+    raw[at:at + 4] = struct.pack("<f", float("inf"))
+    (tmp / "inf.ckpt").write_bytes(raw)
+    return _generate(checkpoint=str(tmp / "inf.ckpt"))(root, tmp, model)
+
+
 def _new_word(dialogues):
     dialogues[0]["turns"][0]["user"] += " zeppelin"
     return json.dumps(dialogues)
@@ -250,6 +262,11 @@ BAD_INPUTS = [
     ("init_from other vocabulary", 2, _train_on(corpus=_new_word, warm_start=True)),
     ("synth --size 0", 1, _synth("0")),
     ("synth --size -3", 1, _synth("-3")),
+    ("generate checkpoint emb.src inf", 2, _non_finite_checkpoint),
+    ("eval --run model, corpus missing", 1,
+     _argv("eval", "--set", "corpus=/nonexistent/corpus.json",
+           "--set", "ontology=/nonexistent/ontology.txt", "--run", "model")),
+    ("train --set d_model", 1, _argv("train", "--set", "d_model")),
 ]
 
 

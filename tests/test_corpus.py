@@ -8,10 +8,10 @@ import pytest
 
 from cogen.acts import ActTriple
 from cogen.corpus import (BUCKET_WINDOW, DB_BUCKETS, EOS_ID, PAD_ID, RESERVED,
-                          SOS_ID, CorpusError, SynthSpec, batchify, belief_dim,
-                          belief_vector, build_vocab, db_bucket, db_token,
-                          expand_dialogue, load_corpus, make_batch,
-                          synth_generate, tokenize, toy_ontology,
+                          SOS_ID, CorpusError, DialogueTurn, SynthSpec, _truncate,
+                          batchify, belief_dim, belief_vector, build_vocab,
+                          db_bucket, db_token, expand_dialogue, load_corpus,
+                          make_batch, synth_generate, tokenize, toy_ontology,
                           write_dialogues)
 
 
@@ -79,6 +79,39 @@ class TestExpand:
     def test_missing_key_raises(self):
         with pytest.raises(CorpusError):
             expand_dialogue({"dialogue_id": "x", "turns": [{"user": "hi"}]})
+
+
+class TestSelfFlatten:
+    def test_direct_turn_matches_expanded_turn(self):
+        """A turn built directly from a history, as the chat command builds
+        one, has the source and spans that expand_dialogue gives it."""
+        dialogue = {"dialogue_id": "x", "turns": [
+            {"user": "hi", "response": "ok", "acts": [], "db": {"hotel": 2}},
+            {"user": "bye now", "response": "ok", "acts": [], "db": {"hotel": 2}}]}
+        expanded = expand_dialogue(dialogue)[1]
+        direct = DialogueTurn(dialogue_id="chat", turn_index=1, history=expanded.history,
+                              db_buckets={"hotel": 2}, belief={}, gold_acts=set(),
+                              gold_response=["-"], goal={})
+        for t in (direct, expanded):
+            assert (t.source_tokens, t.current_utterance_span, t.db_span) == (
+                ["<usr>", "hi", "<sys>", "ok", "<usr>", "bye", "now", "<db:hotel:2>"],
+                (4, 7), (7, 8))
+
+    @pytest.mark.parametrize("dropped", [1, 3])
+    def test_truncate_equals_turn_of_shortened_history(self, synth, dropped):
+        """At a limit that fits once `dropped` of the oldest utterances go,
+        _truncate gives the turn built from that shorter history, field for
+        field."""
+        dialogues, _, _ = synth
+        chained = dict(dialogues[0], turns=dialogues[0]["turns"] + dialogues[1]["turns"])
+        turn = expand_dialogue(chained)[-1]
+        assert len(turn.history) == 7
+        expected = DialogueTurn(
+            dialogue_id=turn.dialogue_id, turn_index=turn.turn_index,
+            history=turn.history[dropped:], db_buckets=turn.db_buckets,
+            belief=turn.belief, gold_acts=turn.gold_acts,
+            gold_response=turn.gold_response, goal=turn.goal)
+        assert vars(_truncate(turn, len(expected.source_tokens))) == vars(expected)
 
 
 class TestVocab:

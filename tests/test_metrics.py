@@ -89,7 +89,7 @@ class TestBleu:
 
 def _turn(did, goal, idx=0):
     return DialogueTurn(dialogue_id=did, turn_index=idx, history=[],
-                        current_utterance_span=(0, 0), db_buckets={}, belief={},
+                        db_buckets={}, belief={},
                         gold_acts=set(), gold_response=["ok"], goal=goal)
 
 
